@@ -409,9 +409,7 @@ func compareSharding(clock obs.Clock, scale float64, sweep []int, m *obs.Metrics
 			if _, err := spec.RunInto(runCfg, prof); err != nil {
 				return err
 			}
-			merged := prof.Profile()
-			pairs = merged.Pairs.Len()
-			merged.Release()
+			pairs = prof.Profile().Pairs.Len()
 			return nil
 		})
 		if err != nil {

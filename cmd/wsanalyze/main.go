@@ -397,10 +397,11 @@ func run(o runOpts, reg *obs.Registry) error {
 	switch o.corrupt {
 	case "":
 	case "graph":
-		desc, err := analysis.CorruptGraph(res.Graph, threshold)
+		g, desc, err := analysis.CorruptGraph(res.Graph, threshold)
 		if err != nil {
 			return err
 		}
+		res.Graph = g
 		fmt.Printf("corrupted graph: %s\n", desc)
 	case "sets":
 		desc, err := analysis.CorruptWorkingSets(res)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -186,22 +187,27 @@ func TestStaticRejectsCharact(t *testing.T) {
 }
 
 // TestCorruptFailsCheck is the negative control: a seeded corruption
-// must make -check exit with an error.
+// must make -check exit with the verifier's error. The fixture
+// program's conflict graph is complete, leaving no edge to add, so the
+// graph case runs on a built-in benchmark.
 func TestCorruptFailsCheck(t *testing.T) {
-	for _, target := range []string{"graph", "sets"} {
+	for _, tc := range []struct{ target, want string }{
+		{"graph", "below pruning threshold"},
+		{"sets", "not strictly ascending"},
+	} {
 		old := os.Stdout
 		devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		os.Stdout = devnull
-		err = run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", threshold: 40, shards: 1, definition: "cliques", top: 3, check: true, corrupt: target}, nil)
+		err = run(runOpts{bench: "li", input: "ref", scale: 0.05, threshold: 100, shards: 1, definition: "cliques", top: 3, check: true, corrupt: tc.target}, nil)
 		os.Stdout = old
 		if cerr := devnull.Close(); cerr != nil {
 			t.Fatal(cerr)
 		}
-		if err == nil {
-			t.Errorf("-corrupt %s: check unexpectedly passed", target)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("-corrupt %s: got %v, want a check failure mentioning %q", tc.target, err, tc.want)
 		}
 	}
 }

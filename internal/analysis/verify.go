@@ -24,6 +24,8 @@ import (
 // VerifyGraph checks the structural invariants of a pruned conflict
 // graph (paper Section 4.1-4.2):
 //
+//   - rows: every node's neighbors are strictly ascending, which the
+//     graph's binary-searched lookups rely on;
 //   - symmetry: the graph is undirected, so Weight(u,v) == Weight(v,u);
 //   - no self-loops: a branch does not conflict with itself;
 //   - pruning: every surviving edge weight is >= threshold.
@@ -32,8 +34,12 @@ func VerifyGraph(g *graph.Graph, threshold uint64) error {
 		return fmt.Errorf("analysis: nil graph")
 	}
 	for u := 0; u < g.N(); u++ {
-		for _, v := range g.SortedNeighbors(int32(u)) {
-			w := g.Weight(int32(u), v)
+		nbrs, wts := g.Neighbors(int32(u))
+		for i, v := range nbrs {
+			w := wts[i]
+			if i > 0 && nbrs[i-1] >= v {
+				return fmt.Errorf("analysis: node %d neighbors not strictly ascending at %d", u, v)
+			}
 			if v == int32(u) {
 				return fmt.Errorf("analysis: graph has self-loop at node %d (weight %d)", u, w)
 			}
@@ -116,7 +122,8 @@ func extendsClique(g *graph.Graph, members []int32) (int32, bool) {
 	for _, id := range members {
 		inSet[id] = true
 	}
-	for _, v := range g.SortedNeighbors(members[0]) {
+	nbrs, _ := g.Neighbors(members[0])
+	for _, v := range nbrs {
 		if inSet[v] {
 			continue
 		}
@@ -199,7 +206,8 @@ func VerifyAllocation(p *profile.Profile, a *core.Allocation) error {
 
 	g := a.Graph
 	for u := 0; u < g.N() && u < len(colors); u++ {
-		for _, v := range g.SortedNeighbors(int32(u)) {
+		nbrs, _ := g.Neighbors(int32(u))
+		for _, v := range nbrs {
 			if int32(u) >= v || colors[u] != colors[v] {
 				continue
 			}
@@ -226,7 +234,8 @@ func VerifyAllocation(p *profile.Profile, a *core.Allocation) error {
 // ... map to the same location").
 func entrySaturated(g *graph.Graph, colors []int, u int32, firstFree, tableSize int) bool {
 	used := make(map[int]bool)
-	for _, v := range g.SortedNeighbors(u) {
+	nbrs, _ := g.Neighbors(u)
+	for _, v := range nbrs {
 		used[colors[v]] = true
 	}
 	for c := firstFree; c < tableSize; c++ {

@@ -21,13 +21,14 @@ func syntheticProfile() *profile.Profile {
 		PCs:       []uint64{0x100, 0x104, 0x108, 0x10c, 0x110},
 		Exec:      []uint64{1000, 900, 800, 700, 50},
 		Taken:     []uint64{500, 899, 2, 350, 25},
-		Pairs:     profile.NewPairCounts(0),
+		Pairs: graph.FromPairs(5, []graph.Pair{
+			{U: 0, V: 1, W: 500},
+			{U: 0, V: 2, W: 400},
+			{U: 1, V: 2, W: 300},
+			{U: 0, V: 3, W: 200},
+			{U: 2, V: 4, W: 5}, // below threshold, pruned away
+		}),
 	}
-	p.Pairs.Add(profile.PairKey(0, 1), 500)
-	p.Pairs.Add(profile.PairKey(0, 2), 400)
-	p.Pairs.Add(profile.PairKey(1, 2), 300)
-	p.Pairs.Add(profile.PairKey(0, 3), 200)
-	p.Pairs.Add(profile.PairKey(2, 4), 5) // below threshold, pruned away
 	return p
 }
 
@@ -54,11 +55,14 @@ func TestVerifyGraphAccepts(t *testing.T) {
 
 func TestVerifyGraphRejectsCorruption(t *testing.T) {
 	res := analyze(t, core.MaximalCliques)
-	desc, err := CorruptGraph(res.Graph, testThreshold)
+	bad, desc, err := CorruptGraph(res.Graph, testThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyGraph(res.Graph, testThreshold); err == nil {
+	if err := VerifyGraph(res.Graph, testThreshold); err != nil {
+		t.Fatalf("corruption changed the original graph: %v", err)
+	}
+	if err := VerifyGraph(bad, testThreshold); err == nil {
 		t.Fatalf("corrupted graph (%s) accepted", desc)
 	} else if !strings.Contains(err.Error(), "below pruning threshold") {
 		t.Fatalf("wrong rejection: %v", err)
@@ -66,8 +70,7 @@ func TestVerifyGraphRejectsCorruption(t *testing.T) {
 }
 
 func TestVerifyGraphRejectsSelfLoopAndRange(t *testing.T) {
-	g := graph.New(2)
-	g.AddEdge(0, 1, 2*testThreshold)
+	g := graph.FromPairs(2, []graph.Pair{{U: 0, V: 1, W: 2 * testThreshold}})
 	if err := VerifyGraph(g, testThreshold); err != nil {
 		t.Fatalf("valid graph rejected: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/graph"
 	"repro/internal/profile"
 )
 
@@ -53,7 +54,7 @@ func TestCustomThresholds(t *testing.T) {
 func profileWith(counts ...[2]uint64) *profile.Profile {
 	p := &profile.Profile{
 		Benchmark: "t",
-		Pairs:     profile.NewPairCounts(0),
+		Pairs:     graph.FromPairs(len(counts), nil),
 	}
 	for i, c := range counts {
 		p.PCs = append(p.PCs, uint64(i+1)*4)

@@ -149,13 +149,12 @@ func Allocate(p *profile.Profile, cfg AllocationConfig) (*Allocation, error) {
 		threshold = DefaultThreshold
 	}
 
-	g := p.BuildGraph(threshold)
 	cls := classificationFor(p, cfg.UseClassification, cfg.classThresholds())
+	g := conflictGraph(p, threshold, cls)
 
 	spec := graph.ColoringSpec{K: cfg.TableSize}
 	reservedT, reservedNT := -1, -1
 	if cls != nil {
-		removeSameClassEdges(g, cls)
 		spec.Pinned, spec.FirstFree, reservedT, reservedNT = biasedPins(cls)
 	}
 
@@ -184,17 +183,15 @@ func Allocate(p *profile.Profile, cfg AllocationConfig) (*Allocation, error) {
 	}, nil
 }
 
-// removeSameClassEdges applies the Section 5.2 refinement: conflicts
-// between branches in the same highly biased class are dropped; their
-// histories agree anyway.
-func removeSameClassEdges(g *graph.Graph, cls *classify.Classification) {
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.SortedNeighbors(int32(u)) {
-			if int32(u) < v && cls.SameBiasedClass(int32(u), v) {
-				g.RemoveEdge(int32(u), v)
-			}
-		}
+// conflictGraph returns p's conflict graph pruned at threshold, in one
+// filtered copy of the profile's pairs. With a classification it also
+// applies the Section 5.2 refinement: conflicts between branches in the
+// same highly biased class are dropped; their histories agree anyway.
+func conflictGraph(p *profile.Profile, threshold uint64, cls *classify.Classification) *graph.Graph {
+	if cls == nil {
+		return p.Pairs.Filter(threshold, nil)
 	}
+	return p.Pairs.Filter(threshold, func(u, v int32) bool { return !cls.SameBiasedClass(u, v) })
 }
 
 // biasedPins reserves two entries and pins biased branches to them.
@@ -233,11 +230,7 @@ func ConventionalCost(p *profile.Profile, tableSize int, threshold uint64, cls *
 	if threshold == 0 {
 		threshold = DefaultThreshold
 	}
-	g := p.BuildGraph(threshold)
-	if cls != nil {
-		removeSameClassEdges(g, cls)
-	}
-	return conventionalCostOn(g, p, tableSize)
+	return conventionalCostOn(conflictGraph(p, threshold, cls), p, tableSize)
 }
 
 // SizeSearchResult reports a required-BHT-size search (one row of
@@ -271,19 +264,16 @@ func RequiredBHTSize(p *profile.Profile, baselineSize int, cfg AllocationConfig)
 	if threshold == 0 {
 		threshold = DefaultThreshold
 	}
-	// Build the conflict graph and classification once: the coloring
-	// below never mutates the graph, and every probed size colors the
-	// same pruned graph. (The search used to rebuild both per size —
-	// a dozen redundant graph constructions per Table 3 row.)
-	g := p.BuildGraph(threshold)
+	// Build the conflict graph and classification once: every probed
+	// size colors the same pruned graph.
 	var cls *classify.Classification
 	var pinned map[int32]int
 	firstFree := 0
 	if cfg.UseClassification {
 		cls = classify.Classify(p, cfg.classThresholds())
-		removeSameClassEdges(g, cls)
 		pinned, firstFree, _, _ = biasedPins(cls)
 	}
+	g := conflictGraph(p, threshold, cls)
 	baseline := conventionalCostOn(g, p, baselineSize)
 
 	res := SizeSearchResult{BaselineCost: baseline, BaselineSize: baselineSize}

@@ -122,6 +122,28 @@ func TestAllocateClassificationReservesEntries(t *testing.T) {
 	}
 }
 
+func TestAllocateCustomClassThresholds(t *testing.T) {
+	// Branch 0 is taken 95% of the time: mixed under the default 99%
+	// cutoff, biased under a 90% one, which pins it to the reserved
+	// taken entry.
+	p := buildProfile([][2]uint64{{1000, 950}, {1000, 500}}, cliquePairs(500, 0, 1))
+	cfg := AllocationConfig{TableSize: 8, UseClassification: true}
+	a, err := Allocate(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Map.EntryFor(4) < 2 {
+		t.Fatalf("default thresholds pinned a 95%%-taken branch to entry %d", a.Map.EntryFor(4))
+	}
+	cfg.ClassThresholds = classify.Thresholds{Taken: 0.9, NotTaken: 0.1}
+	if a, err = Allocate(p, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if a.Map.EntryFor(4) != a.Map.ReservedTaken {
+		t.Fatalf("custom thresholds left the branch in entry %d", a.Map.EntryFor(4))
+	}
+}
+
 func TestAllocateErrors(t *testing.T) {
 	p := buildProfile(mixed(2, 100), nil)
 	if _, err := Allocate(nil, AllocationConfig{TableSize: 8}); err == nil {

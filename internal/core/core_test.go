@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/profile"
 )
 
@@ -13,16 +14,17 @@ func buildProfile(branches [][2]uint64, pairs [][3]uint64) *profile.Profile {
 	p := &profile.Profile{
 		Benchmark: "synthetic",
 		InputSets: []string{"ref"},
-		Pairs:     profile.NewPairCounts(0),
 	}
 	for i, b := range branches {
 		p.PCs = append(p.PCs, uint64(i+1)*4)
 		p.Exec = append(p.Exec, b[0])
 		p.Taken = append(p.Taken, b[1])
 	}
+	var edges []graph.Pair
 	for _, e := range pairs {
-		p.Pairs.Add(profile.PairKey(int32(e[0]), int32(e[1])), e[2])
+		edges = append(edges, graph.Pair{U: int32(e[0]), V: int32(e[1]), W: e[2]})
 	}
+	p.Pairs = graph.FromPairs(len(branches), edges)
 	return p
 }
 

@@ -84,21 +84,21 @@ func AnalyzeGrouped(p *profile.Profile, cfg AnalysisConfig, th classify.Threshol
 
 	// Re-accumulate interleave counts over groups; intra-group pairs
 	// disappear (a group shares one resource, so it cannot conflict
-	// with itself).
-	g := graph.New(len(members))
-	p.Pairs.Range(func(k, w uint64) bool {
-		a, b := profile.UnpackPair(k)
-		ga, gb := groupOf[a], groupOf[b]
-		if ga != gb {
-			g.AddEdge(ga, gb, w)
+	// with itself), and FromPairs sums the pairs a group pair collects.
+	pairs := make([]graph.Pair, 0, p.Pairs.NumEdges())
+	for a := 0; a < p.Pairs.N(); a++ {
+		nbrs, wts := p.Pairs.Neighbors(int32(a))
+		for i, b := range nbrs {
+			if int32(a) < b {
+				pairs = append(pairs, graph.Pair{U: groupOf[a], V: groupOf[b], W: wts[i]})
+			}
 		}
-		return true
-	})
+	}
 	threshold := cfg.Threshold
 	if threshold == 0 {
 		threshold = DefaultThreshold
 	}
-	g = g.Prune(threshold)
+	g := graph.FromPairs(len(members), pairs).Filter(threshold, nil)
 
 	// Group execution weights for the dynamic averages.
 	exec := make([]uint64, len(members))

@@ -140,3 +140,26 @@ func TestAnalyzeGroupedMemberPartition(t *testing.T) {
 		t.Fatalf("members cover %d of %d", total, p.NumBranches())
 	}
 }
+
+func TestAnalyzeGroupedDefinitions(t *testing.T) {
+	// Two mixed cliques {0,1,2} and {2,3,4} sharing branch 2: the greedy
+	// partition gives each branch one home set, so it cannot return both.
+	branches := mixed(5, 1000)
+	p := buildProfile(branches, append(cliquePairs(500, 0, 1, 2), cliquePairs(500, 2, 3, 4)...))
+	greedy, err := AnalyzeGrouped(p, AnalysisConfig{Definition: GreedyPartition}, classify.Thresholds{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int32]bool{}
+	for _, ws := range greedy.Analysis.Sets {
+		for _, g := range ws.Branches {
+			if seen[g] {
+				t.Fatalf("greedy partition repeats group %d: %v", g, greedy.Analysis.Sets)
+			}
+			seen[g] = true
+		}
+	}
+	if _, err := AnalyzeGrouped(p, AnalysisConfig{Definition: SetDefinition(99)}, classify.Thresholds{}); err == nil {
+		t.Fatal("unknown set definition accepted")
+	}
+}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -150,16 +151,16 @@ func (e *cliqueEnum) take() bool {
 // so parallel subtasks share them safely.
 func componentCtx(g *Graph, comp []int32) (adj []bitset) {
 	m := len(comp)
-	local := make(map[int32]int32, m)
-	for i, u := range comp {
-		local[u] = int32(i)
-	}
 	adj = make([]bitset, m)
 	for i, u := range comp {
 		row := newBitset(m)
-		g.Neighbors(u, func(v int32, _ uint64) {
-			row.set(local[v])
-		})
+		nbrs, _ := g.Neighbors(u)
+		for _, v := range nbrs {
+			// comp is sorted and closed under adjacency, so v's local
+			// id is its position in comp.
+			local, _ := slices.BinarySearch(comp, v)
+			row.set(int32(local))
+		}
 		adj[i] = row
 	}
 	return adj
@@ -369,11 +370,12 @@ func (g *Graph) GreedyCliquePartition(includeSingletons bool) [][]int32 {
 			w uint64
 		}
 		cands := make([]cand, 0, g.Degree(seed))
-		g.Neighbors(seed, func(v int32, w uint64) {
+		nbrs, wts := g.Neighbors(seed)
+		for i, v := range nbrs {
 			if !assigned[v] {
-				cands = append(cands, cand{v, w})
+				cands = append(cands, cand{v, wts[i]})
 			}
-		})
+		}
 		sort.Slice(cands, func(i, j int) bool {
 			if cands[i].w != cands[j].w {
 				return cands[i].w > cands[j].w

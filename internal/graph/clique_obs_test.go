@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -9,9 +10,7 @@ import (
 // obsGraph builds two planted cliques plus a singleton — 2 maximal
 // cliques, deterministic enumeration effort.
 func obsGraph() *Graph {
-	g := New(8)
-	addClique(g, 5, 0, 1, 2, 3)
-	addClique(g, 5, 4, 5, 6)
+	g := FromPairs(8, slices.Concat(clique(5, 0, 1, 2, 3), clique(5, 4, 5, 6)))
 	return g
 }
 

@@ -1,19 +1,22 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/rng"
 )
 
-// addClique wires all pairs among nodes with weight w.
-func addClique(g *Graph, w uint64, nodes ...int32) {
+// clique returns the pairs wiring all nodes together with weight w.
+func clique(w uint64, nodes ...int32) []Pair {
+	var out []Pair
 	for i := 0; i < len(nodes); i++ {
 		for j := i + 1; j < len(nodes); j++ {
-			g.AddEdge(nodes[i], nodes[j], w)
+			out = append(out, Pair{nodes[i], nodes[j], w})
 		}
 	}
+	return out
 }
 
 func cliqueSet(cliques [][]int32) map[string]bool {
@@ -29,9 +32,7 @@ func cliqueSet(cliques [][]int32) map[string]bool {
 }
 
 func TestMaximalCliquesTriangle(t *testing.T) {
-	g := New(4)
-	addClique(g, 1, 0, 1, 2)
-	g.AddEdge(2, 3, 1)
+	g := FromPairs(4, slices.Concat(clique(1, 0, 1, 2), []Pair{{2, 3, 1}}))
 	res := g.MaximalCliques(0, false)
 	if res.Truncated {
 		t.Fatal("tiny graph truncated")
@@ -44,9 +45,7 @@ func TestMaximalCliquesTriangle(t *testing.T) {
 
 func TestMaximalCliquesOverlapping(t *testing.T) {
 	// Two overlapping triangles sharing an edge: {0,1,2} and {1,2,3}.
-	g := New(4)
-	addClique(g, 1, 0, 1, 2)
-	addClique(g, 1, 1, 2, 3)
+	g := FromPairs(4, slices.Concat(clique(1, 0, 1, 2), clique(1, 1, 2, 3)))
 	res := g.MaximalCliques(0, false)
 	got := cliqueSet(res.Cliques)
 	if len(got) != 2 || !got["ABC"] || !got["BCD"] {
@@ -55,9 +54,7 @@ func TestMaximalCliquesOverlapping(t *testing.T) {
 }
 
 func TestMaximalCliquesDisjoint(t *testing.T) {
-	g := New(7)
-	addClique(g, 1, 0, 1, 2)
-	addClique(g, 1, 3, 4, 5, 6)
+	g := FromPairs(7, slices.Concat(clique(1, 0, 1, 2), clique(1, 3, 4, 5, 6)))
 	res := g.MaximalCliques(0, false)
 	if len(res.Cliques) != 2 {
 		t.Fatalf("cliques = %d, want 2", len(res.Cliques))
@@ -70,8 +67,7 @@ func TestMaximalCliquesDisjoint(t *testing.T) {
 }
 
 func TestMaximalCliquesSingletons(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 1)
+	g := FromPairs(3, []Pair{{0, 1, 1}})
 	res := g.MaximalCliques(0, false)
 	if len(res.Cliques) != 1 {
 		t.Fatalf("without singletons: %d cliques", len(res.Cliques))
@@ -241,10 +237,7 @@ func TestGreedyPartitionDisjointCliques(t *testing.T) {
 }
 
 func TestGreedyPartitionRecoversPlantedCliques(t *testing.T) {
-	g := New(9)
-	addClique(g, 100, 0, 1, 2)
-	addClique(g, 100, 3, 4, 5)
-	addClique(g, 100, 6, 7, 8)
+	g := FromPairs(9, slices.Concat(clique(100, 0, 1, 2), clique(100, 3, 4, 5), clique(100, 6, 7, 8)))
 	parts := g.GreedyCliquePartition(false)
 	if len(parts) != 3 {
 		t.Fatalf("parts = %d, want 3", len(parts))
@@ -257,8 +250,7 @@ func TestGreedyPartitionRecoversPlantedCliques(t *testing.T) {
 }
 
 func TestGreedyPartitionSingletonFlag(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 1)
+	g := FromPairs(3, []Pair{{0, 1, 1}})
 	with := g.GreedyCliquePartition(true)
 	without := g.GreedyCliquePartition(false)
 	if len(with) != 2 || len(without) != 1 {
@@ -267,7 +259,7 @@ func TestGreedyPartitionSingletonFlag(t *testing.T) {
 }
 
 func TestCliquesOnEmptyGraph(t *testing.T) {
-	g := New(5)
+	g := FromPairs(5, nil)
 	res := g.MaximalCliques(0, false)
 	if len(res.Cliques) != 0 {
 		t.Fatalf("empty graph produced %d cliques", len(res.Cliques))

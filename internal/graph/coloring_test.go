@@ -19,8 +19,7 @@ func mustColor(t *testing.T, g *Graph, spec ColoringSpec) Coloring {
 }
 
 func TestColorTriangleConflictFree(t *testing.T) {
-	g := New(3)
-	addClique(g, 10, 0, 1, 2)
+	g := FromPairs(3, clique(10, 0, 1, 2))
 	c := mustColor(t, g, ColoringSpec{K: 3})
 	if g.ConflictCost(c.Colors) != 0 {
 		t.Fatalf("triangle with 3 colors has conflicts: %v", c.Colors)
@@ -30,17 +29,14 @@ func TestColorTriangleConflictFree(t *testing.T) {
 func TestColorTriangleUnderPressure(t *testing.T) {
 	// Three mutually conflicting nodes, two colors: exactly one edge
 	// must go monochromatic — the cheapest one.
-	g := New(3)
-	g.AddEdge(0, 1, 100)
-	g.AddEdge(1, 2, 50)
-	g.AddEdge(0, 2, 10)
+	g := FromPairs(3, []Pair{{0, 1, 100}, {1, 2, 50}, {0, 2, 10}})
 	c := mustColor(t, g, ColoringSpec{K: 2})
 	cost := g.ConflictCost(c.Colors)
 	if cost != 10 {
 		t.Fatalf("conflict cost %d, want 10 (cheapest edge shared)", cost)
 	}
-	if g.MonochromaticEdges(c.Colors) != 1 {
-		t.Fatalf("monochromatic edges = %d", g.MonochromaticEdges(c.Colors))
+	if c.Colors[0] != c.Colors[2] || c.Colors[0] == c.Colors[1] {
+		t.Fatalf("colors %v: want only the 0-2 edge shared", c.Colors)
 	}
 }
 
@@ -76,7 +72,7 @@ func TestColorEveryNodeAssigned(t *testing.T) {
 func TestColorSpreadsLoad(t *testing.T) {
 	// 40 isolated nodes, 100 colors: every node should get a private
 	// color (the allocator must not pack an empty graph).
-	g := New(40)
+	g := FromPairs(40, nil)
 	c := mustColor(t, g, ColoringSpec{K: 100})
 	used := make(map[int]int)
 	for _, col := range c.Colors {
@@ -90,8 +86,7 @@ func TestColorSpreadsLoad(t *testing.T) {
 }
 
 func TestColorPinnedRespected(t *testing.T) {
-	g := New(4)
-	addClique(g, 10, 0, 1, 2, 3)
+	g := FromPairs(4, clique(10, 0, 1, 2, 3))
 	c := mustColor(t, g, ColoringSpec{
 		K:      6,
 		Pinned: map[int32]int{0: 5, 1: 4},
@@ -105,8 +100,7 @@ func TestColorPinnedRespected(t *testing.T) {
 }
 
 func TestColorFirstFreeReservesEntries(t *testing.T) {
-	g := New(10)
-	addClique(g, 10, 0, 1, 2)
+	g := FromPairs(10, clique(10, 0, 1, 2))
 	c := mustColor(t, g, ColoringSpec{
 		K:         8,
 		FirstFree: 2,
@@ -123,7 +117,7 @@ func TestColorFirstFreeReservesEntries(t *testing.T) {
 }
 
 func TestColorErrors(t *testing.T) {
-	g := New(3)
+	g := FromPairs(3, nil)
 	if _, err := g.Color(ColoringSpec{K: 0}); err == nil {
 		t.Error("K=0 accepted")
 	}
@@ -141,21 +135,8 @@ func TestColorErrors(t *testing.T) {
 	}
 }
 
-func TestColorExcludedNodesUncolored(t *testing.T) {
-	g := New(3)
-	addClique(g, 5, 0, 1, 2)
-	c := mustColor(t, g, ColoringSpec{K: 2, Exclude: map[int32]bool{2: true}})
-	if c.Colors[2] != -1 {
-		t.Fatalf("excluded node colored %d", c.Colors[2])
-	}
-	if g.ConflictCost(c.Colors) != 0 {
-		t.Fatal("two nodes, two colors should be conflict-free")
-	}
-}
-
 func TestConflictCostIgnoresUncolored(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1, 7)
+	g := FromPairs(2, []Pair{{0, 1, 7}})
 	if cost := g.ConflictCost([]int{-1, -1}); cost != 0 {
 		t.Fatalf("uncolored cost %d", cost)
 	}
@@ -184,20 +165,8 @@ func TestConflictCostShrinksWithMoreColors(t *testing.T) {
 	}
 }
 
-func TestChromaticLowerBound(t *testing.T) {
-	g := New(6)
-	addClique(g, 1, 0, 1, 2, 3)
-	if lb := g.ChromaticLowerBound(); lb != 4 {
-		t.Fatalf("lower bound %d, want 4", lb)
-	}
-	empty := New(3)
-	if lb := empty.ChromaticLowerBound(); lb != 1 {
-		t.Fatalf("empty lower bound %d, want 1", lb)
-	}
-}
-
 func TestValidateColorsErrors(t *testing.T) {
-	g := New(2)
+	g := FromPairs(2, nil)
 	if err := ValidateColors(g, []int{0}, 2); err == nil {
 		t.Error("length mismatch accepted")
 	}
@@ -214,14 +183,15 @@ func TestColorBetterThanModuloOnStructuredGraph(t *testing.T) {
 	// cliques, coloring beats address-modulo mapping at equal table
 	// size. Build 8 cliques of 8 whose members are spread across the
 	// "address space" so modulo-16 collides within cliques.
-	g := New(64)
+	var pairs []Pair
 	for c := 0; c < 8; c++ {
 		var nodes []int32
 		for i := 0; i < 8; i++ {
 			nodes = append(nodes, int32(c+8*i)) // stride 8 => heavy mod-16 collisions
 		}
-		addClique(g, 100, nodes...)
+		pairs = append(pairs, clique(100, nodes...)...)
 	}
+	g := FromPairs(64, pairs)
 	const k = 16
 	modColors := make([]int, 64)
 	for u := range modColors {

@@ -30,9 +30,12 @@ func decodePairs(data []byte) (n int, pairs []Pair) {
 	return n, pairs
 }
 
-// FuzzFromPairs checks graph-construction invariants on arbitrary pair
-// lists: symmetry, no self-edges, in-range adjacency only, and weight
-// accumulation agreeing with an independent reference map.
+// FuzzFromPairs checks graph construction on arbitrary pair lists
+// against an independent reference map: every row is strictly
+// ascending, in range, free of self-loops and zero weights, and
+// symmetric; every edge carries the summed weight of its duplicates in
+// either orientation; and exactly the pairs whose sum is nonzero are
+// present.
 func FuzzFromPairs(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 0, 1, 10, 0, 0, 1, 0, 5, 0, 1})
@@ -48,36 +51,46 @@ func FuzzFromPairs(f *testing.F) {
 			if p.U < 0 || p.V < 0 || int(p.U) >= n || int(p.V) >= n || p.U == p.V {
 				continue
 			}
-			u, v := p.U, p.V
-			if u > v {
-				u, v = v, u
-			}
+			u, v := min(p.U, p.V), max(p.U, p.V)
 			ref[[2]int32{u, v}] += p.W
 		}
-		var total uint64
-		for u := int32(0); int(u) < n; u++ {
-			if g.Weight(u, u) != 0 {
-				t.Fatalf("self-edge on %d", u)
+		want := 0
+		for _, w := range ref {
+			if w != 0 {
+				want++
 			}
-			for _, v := range g.SortedNeighbors(u) {
-				if int(v) < 0 || int(v) >= n {
-					t.Fatalf("out-of-range neighbor %d", v)
-				}
-				w := g.Weight(u, v)
-				if w != g.Weight(v, u) {
-					t.Fatalf("asymmetric edge %d-%d", u, v)
-				}
-				a, b := u, v
-				if a > b {
-					a, b = b, a
-				}
-				if w != ref[[2]int32{a, b}] {
-					t.Fatalf("weight(%d,%d) = %d, want %d", u, v, w, ref[[2]int32{a, b}])
+		}
+		var total uint64
+		halves := 0
+		for u := int32(0); int(u) < n; u++ {
+			nbrs, wts := g.Neighbors(u)
+			if len(nbrs) != len(wts) || len(nbrs) != g.Degree(u) {
+				t.Fatalf("row %d: %d neighbors, %d weights, degree %d", u, len(nbrs), len(wts), g.Degree(u))
+			}
+			halves += len(nbrs)
+			for i, v := range nbrs {
+				w := wts[i]
+				switch {
+				case v == u:
+					t.Fatalf("self-loop on %d", u)
+				case v < 0 || int(v) >= n:
+					t.Fatalf("out-of-range neighbor %d in row %d", v, u)
+				case i > 0 && nbrs[i-1] >= v:
+					t.Fatalf("row %d not strictly ascending: %v", u, nbrs)
+				case w == 0:
+					t.Fatalf("zero-weight edge %d-%d", u, v)
+				case g.Weight(v, u) != w || g.Weight(u, v) != w:
+					t.Fatalf("edge %d-%d: row weight %d, Weight %d/%d", u, v, w, g.Weight(u, v), g.Weight(v, u))
+				case w != ref[[2]int32{min(u, v), max(u, v)}]:
+					t.Fatalf("weight(%d,%d) = %d, want %d", u, v, w, ref[[2]int32{min(u, v), max(u, v)}])
 				}
 				if u < v {
 					total += w
 				}
 			}
+		}
+		if halves != 2*want || g.NumEdges() != want {
+			t.Fatalf("%d row entries, NumEdges %d; reference has %d edges", halves, g.NumEdges(), want)
 		}
 		if total != g.TotalWeight() {
 			t.Fatalf("TotalWeight() = %d, recount %d", g.TotalWeight(), total)

@@ -11,19 +11,23 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// Graph is a weighted undirected graph over nodes 0..N()-1. The zero
-// value is unusable; construct with New.
+// Graph is an immutable weighted undirected graph over nodes 0..N()-1,
+// stored in compressed sparse row (CSR) form: node u's neighbors are
+// nbr[off[u]:off[u+1]], strictly ascending, and wt holds the matching
+// edge weights. Every edge appears in both endpoint rows with the same
+// weight, no row holds its own node, and every stored weight is
+// nonzero. The backing arrays are sized exactly.
+//
+// FromPairs builds a graph from raw weighted pairs; Filter derives a
+// subgraph. Nothing mutates a graph after construction, so graphs and
+// the row slices Neighbors returns may be shared freely.
 type Graph struct {
-	adj []map[int32]uint64
-}
-
-// New returns an empty graph with n nodes and no edges.
-func New(n int) *Graph {
-	g := &Graph{adj: make([]map[int32]uint64, n)}
-	return g
+	off []int
+	nbr []int32
+	wt  []uint64
 }
 
 // Pair is one weighted undirected edge input to FromPairs.
@@ -32,114 +36,177 @@ type Pair struct {
 	W    uint64
 }
 
-// FromPairs builds a graph over n nodes from a weighted pair list,
-// accumulating duplicates. Self-loops and pairs with an endpoint outside
-// [0, n) are ignored, matching AddEdge's self-loop rule; the pair list
-// is arbitrary untrusted input (fuzzers feed it directly).
+// newGraph allocates a graph whose row u has room for exactly deg[u]
+// entries. It is the package's only Graph constructor; FromPairs and
+// Filter fill the rows it returns.
+func newGraph(deg []int) *Graph {
+	off := make([]int, len(deg)+1)
+	for u, d := range deg {
+		off[u+1] = off[u] + d
+	}
+	m := off[len(deg)]
+	return &Graph{off: off, nbr: make([]int32, m), wt: make([]uint64, m)}
+}
+
+// FromPairs builds a graph over n nodes from a weighted pair list in any
+// order. Self-loops (a branch does not conflict with itself), zero
+// weights and pairs with an endpoint outside [0, n) are dropped — the
+// pair list is arbitrary untrusted input, fuzzers feed it directly — and
+// duplicate pairs, in either orientation, have their weights summed. A
+// pair whose summed weight wraps to zero is dropped too: HasEdge means
+// Weight > 0, and a zero-weight row entry would be invisible to it yet
+// still steer components, cliques and coloring.
+//
+// The rows come out sorted without a comparison sort: half-edges are
+// first bucketed by neighbor id, then distributed to their rows in
+// ascending neighbor order, so each row receives its entries in order
+// and a pair's duplicates arrive back to back. The cost is linear in
+// pairs plus nodes, and the result does not depend on the input order.
 func FromPairs(n int, pairs []Pair) *Graph {
-	g := New(n)
+	valid := func(p Pair) bool {
+		return p.U != p.V && p.W != 0 && p.U >= 0 && p.V >= 0 && int(p.U) < n && int(p.V) < n
+	}
+	// Bucket both halves of every valid pair by neighbor id: column c
+	// lists the rows adjacent to c, with the pair weights.
+	col := make([]int, n+1)
 	for _, p := range pairs {
-		if p.U < 0 || p.V < 0 || int(p.U) >= n || int(p.V) >= n {
-			continue
+		if valid(p) {
+			col[p.U+1]++
+			col[p.V+1]++
 		}
-		g.AddEdge(p.U, p.V, p.W)
+	}
+	for c := 0; c < n; c++ {
+		col[c+1] += col[c]
+	}
+	rows := make([]int32, col[n])
+	ws := make([]uint64, col[n])
+	next := slices.Clone(col[:n])
+	for _, p := range pairs {
+		if valid(p) {
+			rows[next[p.V]], ws[next[p.V]] = p.U, p.W
+			next[p.V]++
+			rows[next[p.U]], ws[next[p.U]] = p.V, p.W
+			next[p.U]++
+		}
+	}
+
+	// Size each row by its distinct neighbors: walking the columns in
+	// ascending order visits a row's duplicates consecutively.
+	deg := make([]int, n)
+	last := next // reused: last[r] is the latest column counted for row r
+	for r := range last {
+		last[r] = -1
+	}
+	for c := 0; c < n; c++ {
+		for _, r := range rows[col[c]:col[c+1]] {
+			if last[r] != c {
+				last[r] = c
+				deg[r]++
+			}
+		}
+	}
+
+	g := newGraph(deg)
+	fill := deg // reused: fill[r] is row r's next free slot
+	copy(fill, g.off[:n])
+	for c := 0; c < n; c++ {
+		for i := col[c]; i < col[c+1]; i++ {
+			r := rows[i]
+			if k := fill[r]; k > g.off[r] && g.nbr[k-1] == int32(c) {
+				g.wt[k-1] += ws[i]
+			} else {
+				g.nbr[k], g.wt[k] = int32(c), ws[i]
+				fill[r]++
+			}
+		}
+	}
+	if slices.Contains(g.wt, 0) {
+		return g.Filter(1, nil)
 	}
 	return g
 }
 
-// N returns the node count.
-func (g *Graph) N() int { return len(g.adj) }
-
-// AddEdge accumulates weight w onto the undirected edge {u, v}.
-// Self-loops are ignored: a branch does not conflict with itself. Zero
-// weight is ignored too — HasEdge defines edge presence as Weight > 0,
-// and a phantom zero-weight adjacency entry would be invisible to
-// HasEdge yet still steer components, cliques, and coloring.
-func (g *Graph) AddEdge(u, v int32, w uint64) {
-	if u == v || w == 0 {
-		return
+// Filter returns the subgraph of g holding the edges of weight at least
+// minWeight for which keep, when non-nil, reports true — the paper's
+// threshold pruning (Section 4.2) and any further edge refinement in
+// one linear copy of the sorted rows. keep sees each edge as (u, v)
+// with u < v, once per endpoint row, so any deterministic keep yields a
+// symmetric result. When every edge is kept, g itself is returned.
+func (g *Graph) Filter(minWeight uint64, keep func(u, v int32) bool) *Graph {
+	n := g.N()
+	deg := make([]int, n)
+	var kept []int
+	for u := 0; u < n; u++ {
+		lo := g.off[u]
+		for j, w := range g.wt[lo:g.off[u+1]] {
+			if w < minWeight {
+				continue
+			}
+			if v := g.nbr[lo+j]; keep != nil && !keep(min(int32(u), v), max(int32(u), v)) {
+				continue
+			}
+			kept = append(kept, lo+j)
+			deg[u]++
+		}
 	}
-	g.addHalf(u, v, w)
-	g.addHalf(v, u, w)
+	if len(kept) == len(g.nbr) {
+		return g
+	}
+	out := newGraph(deg)
+	for k, i := range kept {
+		out.nbr[k], out.wt[k] = g.nbr[i], g.wt[i]
+	}
+	return out
 }
 
-func (g *Graph) addHalf(u, v int32, w uint64) {
-	m := g.adj[u]
-	if m == nil {
-		m = make(map[int32]uint64)
-		g.adj[u] = m
-	}
-	m[v] += w
+// N returns the node count.
+func (g *Graph) N() int { return len(g.off) - 1 }
+
+// Neighbors returns u's row: its neighbors in strictly ascending order
+// and the matching edge weights. The slices alias the graph and must
+// not be modified.
+func (g *Graph) Neighbors(u int32) ([]int32, []uint64) {
+	lo, hi := g.off[u], g.off[u+1]
+	return g.nbr[lo:hi:hi], g.wt[lo:hi:hi]
 }
 
 // Weight returns the weight of edge {u, v}, or 0 if absent.
 func (g *Graph) Weight(u, v int32) uint64 {
-	if int(u) >= len(g.adj) || g.adj[u] == nil {
+	if u < 0 || int(u) >= g.N() {
 		return 0
 	}
-	return g.adj[u][v]
+	lo := g.off[u]
+	if i, ok := slices.BinarySearch(g.nbr[lo:g.off[u+1]], v); ok {
+		return g.wt[lo+i]
+	}
+	return 0
 }
 
 // HasEdge reports whether {u, v} is present.
 func (g *Graph) HasEdge(u, v int32) bool { return g.Weight(u, v) > 0 }
 
 // Degree returns the number of neighbors of u.
-func (g *Graph) Degree(u int32) int { return len(g.adj[u]) }
-
-// Neighbors calls f for each neighbor of u with the edge weight.
-// Iteration order is unspecified; callers needing determinism should
-// use SortedNeighbors.
-func (g *Graph) Neighbors(u int32, f func(v int32, w uint64)) {
-	for v, w := range g.adj[u] {
-		f(v, w)
-	}
-}
-
-// SortedNeighbors returns u's neighbors in ascending id order.
-func (g *Graph) SortedNeighbors(u int32) []int32 {
-	ns := make([]int32, 0, len(g.adj[u]))
-	for v := range g.adj[u] {
-		ns = append(ns, v)
-	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	return ns
-}
+func (g *Graph) Degree(u int32) int { return g.off[u+1] - g.off[u] }
 
 // NumEdges returns the number of distinct undirected edges.
-func (g *Graph) NumEdges() int {
-	total := 0
-	for _, m := range g.adj {
-		total += len(m)
-	}
-	return total / 2
-}
+func (g *Graph) NumEdges() int { return len(g.nbr) / 2 }
+
+// Len returns the number of distinct undirected edges, like NumEdges.
+// It exists because the benchmark reads a profile's pair count as
+// Pairs.Len() and a pruned graph's size as NumEdges(), and calls both.
+func (g *Graph) Len() int { return g.NumEdges() }
 
 // TotalWeight returns the sum of all edge weights.
 func (g *Graph) TotalWeight() uint64 {
 	var total uint64
-	for u := range g.adj {
-		for v, w := range g.adj[u] {
-			if int32(u) < v {
-				total += w
+	for u := 0; u < g.N(); u++ {
+		for i := g.off[u]; i < g.off[u+1]; i++ {
+			if int32(u) < g.nbr[i] {
+				total += g.wt[i]
 			}
 		}
 	}
 	return total
-}
-
-// Prune returns a new graph retaining only edges with weight >=
-// threshold — the paper's refinement step that drops small, incidental
-// conflicts (Section 4.2; threshold 100 in the paper).
-func (g *Graph) Prune(threshold uint64) *Graph {
-	out := New(g.N())
-	for u := range g.adj {
-		for v, w := range g.adj[u] {
-			if int32(u) < v && w >= threshold {
-				out.AddEdge(int32(u), v, w)
-			}
-		}
-	}
-	return out
 }
 
 // Components returns the connected components as sorted node slices,
@@ -161,43 +228,17 @@ func (g *Graph) Components() [][]int32 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, u)
-			for v := range g.adj[u] {
+			for _, v := range g.nbr[g.off[u]:g.off[u+1]] {
 				if !seen[v] {
 					seen[v] = true
 					stack = append(stack, v)
 				}
 			}
 		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	out := New(g.N())
-	for u := range g.adj {
-		if g.adj[u] == nil {
-			continue
-		}
-		m := make(map[int32]uint64, len(g.adj[u]))
-		for v, w := range g.adj[u] {
-			m[v] = w
-		}
-		out.adj[u] = m
-	}
-	return out
-}
-
-// RemoveEdge deletes the undirected edge {u, v} if present.
-func (g *Graph) RemoveEdge(u, v int32) {
-	if g.adj[u] != nil {
-		delete(g.adj[u], v)
-	}
-	if g.adj[v] != nil {
-		delete(g.adj[v], u)
-	}
 }
 
 // String summarizes the graph for debugging.

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -8,9 +9,7 @@ import (
 )
 
 func TestAddEdgeAccumulates(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 10)
-	g.AddEdge(1, 0, 5)
+	g := FromPairs(3, []Pair{{0, 1, 10}, {1, 0, 5}})
 	if g.Weight(0, 1) != 15 || g.Weight(1, 0) != 15 {
 		t.Fatalf("weights %d/%d, want 15", g.Weight(0, 1), g.Weight(1, 0))
 	}
@@ -20,47 +19,40 @@ func TestAddEdgeAccumulates(t *testing.T) {
 }
 
 func TestSelfLoopIgnored(t *testing.T) {
-	g := New(2)
-	g.AddEdge(1, 1, 100)
+	g := FromPairs(2, []Pair{{1, 1, 100}})
 	if g.NumEdges() != 0 || g.Degree(1) != 0 {
 		t.Fatal("self loop stored")
 	}
 }
 
 func TestDegreeAndNeighbors(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(0, 2, 2)
-	g.AddEdge(0, 3, 3)
+	g := FromPairs(4, []Pair{{0, 1, 1}, {0, 2, 2}, {0, 3, 3}})
 	if g.Degree(0) != 3 || g.Degree(1) != 1 {
 		t.Fatalf("degrees %d/%d", g.Degree(0), g.Degree(1))
 	}
-	ns := g.SortedNeighbors(0)
+	ns, ws := g.Neighbors(0)
 	if len(ns) != 3 || ns[0] != 1 || ns[2] != 3 {
 		t.Fatalf("neighbors %v", ns)
 	}
 	var total uint64
-	g.Neighbors(0, func(_ int32, w uint64) { total += w })
+	for _, w := range ws {
+		total += w
+	}
 	if total != 6 {
 		t.Fatalf("neighbor weight sum %d", total)
 	}
 }
 
 func TestTotalWeight(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 10)
-	g.AddEdge(1, 2, 20)
+	g := FromPairs(3, []Pair{{0, 1, 10}, {1, 2, 20}})
 	if g.TotalWeight() != 30 {
 		t.Fatalf("total weight %d", g.TotalWeight())
 	}
 }
 
 func TestPrune(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 99)
-	g.AddEdge(1, 2, 100)
-	g.AddEdge(2, 3, 101)
-	p := g.Prune(100)
+	g := FromPairs(4, []Pair{{0, 1, 99}, {1, 2, 100}, {2, 3, 101}})
+	p := g.Filter(100, nil)
 	if p.NumEdges() != 2 {
 		t.Fatalf("pruned edges = %d", p.NumEdges())
 	}
@@ -77,10 +69,7 @@ func TestPrune(t *testing.T) {
 }
 
 func TestComponents(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(3, 4, 1)
+	g := FromPairs(6, []Pair{{0, 1, 1}, {1, 2, 1}, {3, 4, 1}})
 	comps := g.Components()
 	if len(comps) != 3 {
 		t.Fatalf("components = %d, want 3 (two clusters + isolated 5)", len(comps))
@@ -93,78 +82,79 @@ func TestComponents(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 5)
-	c := g.Clone()
-	c.AddEdge(0, 2, 7)
-	c.RemoveEdge(0, 1)
-	if !g.HasEdge(0, 1) || g.HasEdge(0, 2) {
-		t.Fatal("clone shares storage")
+func TestFilterLeavesSourceIntact(t *testing.T) {
+	g := FromPairs(3, []Pair{{0, 1, 5}, {0, 2, 7}})
+	f := g.Filter(0, func(u, v int32) bool { return v != 1 })
+	if !g.HasEdge(0, 1) || !g.HasEdge(0, 2) {
+		t.Fatal("filter changed its source")
+	}
+	if f.HasEdge(0, 1) || !f.HasEdge(0, 2) {
+		t.Fatalf("filtered graph %v", f)
 	}
 }
 
-func TestRemoveEdge(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 5)
-	g.RemoveEdge(0, 1)
-	if g.HasEdge(0, 1) || g.Degree(0) != 0 || g.Degree(1) != 0 {
-		t.Fatal("edge not removed")
+func TestFilterDropsBothHalves(t *testing.T) {
+	g := FromPairs(3, []Pair{{0, 1, 5}})
+	var seen [][2]int32
+	f := g.Filter(0, func(u, v int32) bool {
+		seen = append(seen, [2]int32{u, v})
+		return false
+	})
+	if f.HasEdge(0, 1) || f.HasEdge(1, 0) || f.Degree(0) != 0 || f.Degree(1) != 0 {
+		t.Fatal("edge not removed from both rows")
 	}
-	g.RemoveEdge(0, 2) // absent: no-op
+	// keep sees the edge once per endpoint row, always as (low, high).
+	if len(seen) != 2 || seen[0] != [2]int32{0, 1} || seen[1] != [2]int32{0, 1} {
+		t.Fatalf("keep called with %v", seen)
+	}
+	if g.Filter(5, nil) != g {
+		t.Fatal("filter keeping every edge should return its source")
+	}
+}
+
+func TestFromPairsRowsSortedAndExact(t *testing.T) {
+	g := FromPairs(5, []Pair{{4, 0, 1}, {0, 3, 2}, {1, 0, 3}, {0, 4, 4}, {2, 0, 5}, {3, 0, 6}})
+	ns, ws := g.Neighbors(0)
+	if !slices.Equal(ns, []int32{1, 2, 3, 4}) || !slices.Equal(ws, []uint64{3, 5, 8, 5}) {
+		t.Fatalf("row 0 = %v %v", ns, ws)
+	}
+	if cap(g.off) != len(g.off) || cap(g.nbr) != len(g.nbr) || cap(g.wt) != len(g.wt) {
+		t.Fatal("backing arrays not exactly sized")
+	}
+}
+
+func TestFromPairsDropsWrappedZeroSum(t *testing.T) {
+	g := FromPairs(3, []Pair{{0, 1, 1 << 63}, {1, 0, 1 << 63}, {1, 2, 4}})
+	if g.HasEdge(0, 1) || g.Degree(0) != 0 || g.NumEdges() != 1 {
+		t.Fatalf("zero-sum pair stored: %v", g)
+	}
 }
 
 func TestWeightOutOfRange(t *testing.T) {
-	g := New(2)
+	g := FromPairs(2, nil)
 	if g.Weight(0, 1) != 0 {
 		t.Fatal("empty weight nonzero")
 	}
 }
 
 func TestStringSummary(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1, 3)
+	g := FromPairs(2, []Pair{{0, 1, 3}})
 	if s := g.String(); s != "graph{nodes=2 edges=1 weight=3}" {
 		t.Fatalf("String() = %q", s)
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(0, 2, 1)
-	h := g.DegreeHistogram()
-	if h[2] != 1 || h[1] != 2 || h[0] != 1 {
-		t.Fatalf("histogram %v", h)
-	}
-}
-
-func TestHeaviestEdges(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 5)
-	g.AddEdge(1, 2, 50)
-	g.AddEdge(2, 3, 20)
-	top := g.HeaviestEdges(2)
-	if len(top) != 2 || top[0][2] != 50 || top[1][2] != 20 {
-		t.Fatalf("heaviest %v", top)
-	}
-	all := g.HeaviestEdges(10)
-	if len(all) != 3 {
-		t.Fatalf("overflow k returned %d", len(all))
-	}
-}
-
 // randomGraph builds an Erdos-Renyi style weighted graph.
 func randomGraph(r *rng.Xoshiro256, n int, p float64, maxW int) *Graph {
-	g := New(n)
+	var pairs []Pair
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if r.Float64() < p {
-				g.AddEdge(int32(u), int32(v), uint64(r.Intn(maxW)+1))
+				pairs = append(pairs, Pair{int32(u), int32(v), uint64(r.Intn(maxW) + 1)})
 			}
 		}
 	}
-	return g
+	return FromPairs(n, pairs)
 }
 
 func TestComponentsPartitionProperty(t *testing.T) {
@@ -196,13 +186,13 @@ func TestPruneMonotoneProperty(t *testing.T) {
 	g := randomGraph(r, 30, 0.3, 100)
 	prev := g.NumEdges()
 	for _, th := range []uint64{1, 10, 50, 90, 101} {
-		p := g.Prune(th)
+		p := g.Filter(th, nil)
 		if p.NumEdges() > prev {
 			t.Fatalf("prune(%d) grew the graph", th)
 		}
 		prev = p.NumEdges()
 	}
-	if g.Prune(101).NumEdges() != 0 {
+	if g.Filter(101, nil).NumEdges() != 0 {
 		t.Fatal("prune above max weight left edges")
 	}
 }

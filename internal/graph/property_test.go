@@ -23,13 +23,13 @@ func randPairs(r *rng.Xoshiro256, n, count int) []Pair {
 // randGraph builds a random graph with roughly the requested edge
 // density using only in-range, non-loop pairs.
 func randGraph(r *rng.Xoshiro256, n, edges int) *Graph {
-	g := New(n)
-	for i := 0; i < edges; i++ {
+	pairs := make([]Pair, edges)
+	for i := range pairs {
 		u := int32(r.Uint64() % uint64(n))
 		v := int32(r.Uint64() % uint64(n))
-		g.AddEdge(u, v, 1+r.Uint64()%300)
+		pairs[i] = Pair{u, v, 1 + r.Uint64()%300}
 	}
-	return g
+	return FromPairs(n, pairs)
 }
 
 // TestPropertyFromPairs checks the structural invariants of graph
@@ -71,8 +71,6 @@ func TestPropertyFromPairs(t *testing.T) {
 					a, b = b, a
 				}
 				want := ref[[2]int32{a, b}]
-				// A zero-weight pair may create a zero-weight edge entry;
-				// Weight reports 0 either way, so compare values only.
 				if got := g.Weight(u, v); got != want {
 					t.Fatalf("trial %d: weight(%d,%d) = %d, want %d", trial, u, v, got, want)
 				}
@@ -93,9 +91,10 @@ func TestPropertyPruneMonotone(t *testing.T) {
 		t1 := 1 + r.Uint64()%200
 		t2 := t1 + 1 + r.Uint64()%200 // t2 > t1
 
-		p1, p2 := g.Prune(t1), g.Prune(t2)
+		p1, p2 := g.Filter(t1, nil), g.Filter(t2, nil)
 		for u := int32(0); int(u) < n; u++ {
-			for _, v := range g.SortedNeighbors(u) {
+			nbrs, _ := g.Neighbors(u)
+			for _, v := range nbrs {
 				w := g.Weight(u, v)
 				if got := p1.Weight(u, v); (w >= t1) != (got == w) || (w < t1 && got != 0) {
 					t.Fatalf("trial %d: prune(%d) edge %d-%d w=%d got %d", trial, t1, u, v, w, got)
@@ -103,14 +102,15 @@ func TestPropertyPruneMonotone(t *testing.T) {
 			}
 			// Monotone: every edge surviving the higher threshold survives
 			// the lower one with the same weight.
-			for _, v := range p2.SortedNeighbors(u) {
+			nbrs2, _ := p2.Neighbors(u)
+			for _, v := range nbrs2 {
 				if p1.Weight(u, v) != p2.Weight(u, v) {
 					t.Fatalf("trial %d: prune not monotone at %d-%d", trial, u, v)
 				}
 			}
 		}
 		// Idempotent: re-pruning at the same threshold changes nothing.
-		pp := p1.Prune(t1)
+		pp := p1.Filter(t1, nil)
 		if pp.NumEdges() != p1.NumEdges() || pp.TotalWeight() != p1.TotalWeight() {
 			t.Fatalf("trial %d: prune not idempotent", trial)
 		}
@@ -223,7 +223,8 @@ func TestPropertyColoringConflictFree(t *testing.T) {
 			if col.Colors[u] < 0 {
 				t.Fatalf("trial %d: node %d left uncolored", trial, u)
 			}
-			for _, v := range g.SortedNeighbors(u) {
+			nbrs, _ := g.Neighbors(u)
+			for _, v := range nbrs {
 				if col.Colors[u] == col.Colors[v] {
 					t.Fatalf("trial %d: K=%d > maxdeg=%d but %d and %d share color %d",
 						trial, k, maxDeg, u, v, col.Colors[u])
@@ -250,7 +251,8 @@ func TestPropertyColoringCostCounts(t *testing.T) {
 		}
 		var want uint64
 		for u := int32(0); int(u) < n; u++ {
-			for _, v := range g.SortedNeighbors(u) {
+			nbrs, _ := g.Neighbors(u)
+			for _, v := range nbrs {
 				if u < v && colors[u] >= 0 && colors[u] == colors[v] {
 					want += g.Weight(u, v)
 				}

@@ -220,7 +220,6 @@ func (s *Suite) AblationWindow(benchmark string, windows []int) ([]WindowRow, er
 			NumSets:   res.NumSets(),
 			AvgStatic: res.AvgStaticSize(),
 		})
-		p.Release() // transient: the analysis result is all that is kept
 	}
 	return rows, nil
 }

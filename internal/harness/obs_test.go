@@ -69,11 +69,7 @@ func TestRecordModeCountersExact(t *testing.T) {
 	if got := counter("wsd_profile_events_total"); got != a.Filter.DynamicKept {
 		t.Errorf("profile events = %d, want filtered dynamic count %d", got, a.Filter.DynamicKept)
 	}
-	var pairWeight, pairCount uint64
-	for _, pc := range a.Profile.SortedPairs() {
-		pairWeight += pc.Count
-		pairCount++
-	}
+	pairWeight, pairCount := a.Profile.Pairs.TotalWeight(), uint64(a.Profile.Pairs.NumEdges())
 	if got := counter("wsd_profile_pair_increments_total"); got != pairWeight {
 		t.Errorf("pair increments = %d, want pair-table total weight %d", got, pairWeight)
 	}

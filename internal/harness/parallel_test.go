@@ -111,7 +111,7 @@ func TestFusedArtifactsMatchRecorded(t *testing.T) {
 	if pr.Instructions != pf.Instructions {
 		t.Fatalf("instructions %d vs %d", pr.Instructions, pf.Instructions)
 	}
-	if !reflect.DeepEqual(pr.SortedPairs(), pf.SortedPairs()) {
+	if !reflect.DeepEqual(pr.Pairs, pf.Pairs) {
 		t.Fatal("interleave pair counts differ between record and fused")
 	}
 }

@@ -1,128 +1,142 @@
 package profile
 
 import (
-	"encoding/binary"
 	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
-	"repro/internal/rng"
+	"repro/internal/graph"
 )
 
-// FuzzPackedPairTable drives a random insert/merge sequence against the
-// packed flat table and checks the result against a reference Go map.
-// The input stream is decoded 9 bytes at a time — an 8-byte key and an
-// opcode byte that picks the destination table, the delta, and whether
-// the key is folded into a small colliding range — so a single input
-// exercises probe chains, growth, word-level clears, and the
-// Range-into-Add merge path that the shard drain uses.
-func FuzzPackedPairTable(f *testing.F) {
-	seed := make([]byte, 0, 9*16)
-	for i := 0; i < 16; i++ {
-		var rec [9]byte
-		binary.LittleEndian.PutUint64(rec[:8], uint64(i)*0x9e3779b97f4a7c15)
-		rec[8] = byte(i * 37)
-		seed = append(seed, rec[:]...)
+// decodeStream turns an arbitrary byte string into a branch stream and
+// a scan window. The first byte picks the static branch population, the
+// second the window; every later byte is one event: the low bits pick
+// the branch, the high bit the direction. Every seventh branch id sits
+// at an unaligned address, so the profilers' map fallback runs too.
+func decodeStream(data []byte) (pcs []uint64, taken []bool, window int) {
+	if len(data) < 2 {
+		return nil, nil, 1
 	}
-	f.Add(seed)
-	f.Add([]byte("0123456789abcdefghijklmnopqrstuvwxyz"))
+	statics := 2 + int(data[0])%62
+	window = 1 + int(data[1])%8
+	for _, b := range data[2:] {
+		id := uint64(b&0x7f) % uint64(statics)
+		pc := 4 * (id + 1)
+		if id%7 == 6 {
+			pc += 2
+		}
+		pcs = append(pcs, pc)
+		taken = append(taken, b&0x80 != 0)
+	}
+	return pcs, taken, window
+}
+
+// checkExact fails unless every slice backing g has cap == len:
+// extraction sizes the conflict graph exactly, never by doubling.
+func checkExact(t *testing.T, what string, g *graph.Graph) {
+	t.Helper()
+	v := reflect.ValueOf(g).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice && f.Cap() != f.Len() {
+			t.Fatalf("%s: Pairs.%s has len %d, cap %d", what, v.Type().Field(i).Name, f.Len(), f.Cap())
+		}
+	}
+}
+
+// FuzzExtraction feeds decoded branch streams to the Profiler (one and
+// two shards, unbounded and with a small window) and to the
+// NaiveProfiler, the paper's literal time-stamp scan. Unbounded
+// extraction must give the naive reference's CSR rows exactly, whatever
+// the shard count; windowed extraction must agree across shard counts
+// and never count more interleavings for a pair than the unbounded
+// scan; every extracted graph is exactly sized.
+func FuzzExtraction(f *testing.F) {
 	f.Add([]byte{})
-
+	f.Add([]byte{3, 1, 0, 1, 2, 0, 1, 2, 0x80, 0x81, 0x82})
+	f.Add([]byte{40, 5, 1, 9, 17, 25, 33, 1, 9, 17, 25, 33, 39, 1, 0x89, 2, 3, 4, 5, 6, 7, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const nTables = 4
-		tables := make([]*PairCounts, nTables)
-		for i := range tables {
-			tables[i] = NewPairCounts(0)
+		pcs, taken, window := decodeStream(data)
+		naive := NewNaiveProfiler("fuzz", "ref")
+		profilers := map[string]*Profiler{}
+		for _, shards := range []int{1, 2} {
+			profilers[fmt.Sprintf("shards=%d", shards)] = NewProfiler("fuzz", "ref", WithShards(shards))
+			profilers[fmt.Sprintf("shards=%d/window=%d", shards, window)] =
+				NewProfiler("fuzz", "ref", WithShards(shards), WithWindow(window))
 		}
-		ref := make(map[uint64]uint64)
-		for len(data) >= 9 {
-			key := binary.LittleEndian.Uint64(data)
-			op := data[8]
-			data = data[9:]
-			if op&1 == 0 {
-				// Fold half the keys into a small range so the same key
-				// lands in several tables and merge hits the Add-to-
-				// existing path, not just fresh inserts.
-				key %= 1 << 14
-			}
-			if key == 0 {
-				key = 1 // key 0 is the empty-slot sentinel
-			}
-			delta := uint64(op>>4) + 1
-			tables[int(op>>1)%nTables].Add(key, delta)
-			ref[key] += delta
-		}
-
-		// Merge all tables into one the way the shard drain does:
-		// Range on the source, Add on the destination.
-		merged := NewPairCounts(0)
-		for _, tb := range tables {
-			tb.Range(func(k, v uint64) bool {
-				merged.Add(k, v)
-				return true
-			})
-		}
-
-		if merged.Len() != len(ref) {
-			t.Fatalf("merged Len = %d, reference map has %d keys", merged.Len(), len(ref))
-		}
-		for k, v := range ref {
-			if got := merged.Get(k); got != v {
-				t.Fatalf("merged Get(%#x) = %d, want %d", k, got, v)
+		for i, pc := range pcs {
+			naive.Branch(pc, taken[i], uint64(i))
+			for _, p := range profilers {
+				p.Branch(pc, taken[i], uint64(i))
 			}
 		}
-		seen := 0
-		merged.Range(func(k, v uint64) bool {
-			if ref[k] != v {
-				t.Fatalf("merged Range yields %#x:%d, reference has %d", k, v, ref[k])
+		want := naive.Profile()
+		checkExact(t, "naive", want.Pairs)
+		got := map[string]*Profile{}
+		for name, p := range profilers {
+			prof := p.Profile()
+			checkExact(t, name, prof.Pairs)
+			if !slices.Equal(prof.PCs, want.PCs) || !slices.Equal(prof.Exec, want.Exec) || !slices.Equal(prof.Taken, want.Taken) {
+				t.Fatalf("%s: per-branch stats differ from the naive reference", name)
 			}
-			seen++
-			return true
-		})
-		if seen != len(ref) {
-			t.Fatalf("merged Range visited %d of %d keys", seen, len(ref))
+			if prof.Pairs.Len() != prof.Pairs.NumEdges() {
+				t.Fatalf("%s: Len %d != NumEdges %d", name, prof.Pairs.Len(), prof.Pairs.NumEdges())
+			}
+			got[name] = prof
 		}
-
-		// Reset must leave each table reusable with its allocation.
-		for _, tb := range tables {
-			tb.Reset()
-			if tb.Len() != 0 {
-				t.Fatal("Reset left entries behind")
+		wantDump := pairDump(want.Pairs)
+		for _, name := range []string{"shards=1", "shards=2"} {
+			if d := pairDump(got[name].Pairs); d != wantDump {
+				t.Fatalf("%s rows differ from the naive reference:\n%s\nwant:\n%s", name, d, wantDump)
 			}
-			tb.Add(42, 1)
-			if tb.Get(42) != 1 {
-				t.Fatal("table broken after Reset")
+		}
+		w1 := got[fmt.Sprintf("shards=1/window=%d", window)].Pairs
+		w2 := got[fmt.Sprintf("shards=2/window=%d", window)].Pairs
+		if pairDump(w1) != pairDump(w2) {
+			t.Fatalf("window %d: rows differ between one and two shards", window)
+		}
+		for u := int32(0); int(u) < w1.N(); u++ {
+			nbrs, wts := w1.Neighbors(u)
+			for i, v := range nbrs {
+				if full := want.Pairs.Weight(u, v); wts[i] > full {
+					t.Fatalf("window %d: pair %d-%d counted %d, unbounded %d", window, u, v, wts[i], full)
+				}
 			}
 		}
 	})
 }
 
-// TestMergeOrderInvariance is the determinism property behind the shard
-// drain: merging worker tables in any order yields the identical drained
-// table. Pair counts are commutative sums, and the canonical dump is
-// layout-independent, so all 120 permutations of five overlapping tables
-// must agree byte for byte.
-func TestMergeOrderInvariance(t *testing.T) {
-	const k = 5
-	r := rng.New(99)
-	tables := make([]*PairCounts, k)
-	for i := range tables {
-		tables[i] = NewPairCounts(0)
-		// Overlapping keyspace: most keys appear in several tables.
-		for j := 0; j < 2000; j++ {
-			key := uint64(r.Intn(700) + 1)
-			tables[i].Add(key, uint64(r.Intn(9)+1))
+// pcDump renders a profile's conflict graph keyed by branch address,
+// so profiles whose dense ids differ (merges in different orders)
+// compare by content.
+func pcDump(p *Profile) string {
+	var lines []string
+	for u := int32(0); int(u) < p.Pairs.N(); u++ {
+		nbrs, wts := p.Pairs.Neighbors(u)
+		for i, v := range nbrs {
+			a, b := min(p.PCs[u], p.PCs[v]), max(p.PCs[u], p.PCs[v])
+			if p.PCs[u] == a {
+				lines = append(lines, fmt.Sprintf("%#x-%#x:%d", a, b, wts[i]))
+			}
 		}
 	}
+	slices.Sort(lines)
+	return strings.Join(lines, "\n")
+}
 
-	mergeDump := func(order []int) string {
-		out := NewPairCounts(0)
-		for _, i := range order {
-			tables[i].Range(func(key, v uint64) bool {
-				out.Add(key, v)
-				return true
-			})
-		}
-		return pairDump(out)
+// TestMergeOrderInvariance is the determinism property behind merged
+// profiles: merging five overlapping profiles in any of the 120 orders
+// yields the same conflict graph over branch addresses. Interleave
+// counts are commutative sums, and the rows are sorted, so only the
+// dense id assignment may depend on the order.
+func TestMergeOrderInvariance(t *testing.T) {
+	const k = 5
+	profiles := make([]*Profile, k)
+	for i := range profiles {
+		p := NewProfiler("synth", fmt.Sprintf("in%d", i))
+		synthStream(2_000, uint64(100+i), p)
+		profiles[i] = p.Profile()
 	}
 
 	var want string
@@ -130,11 +144,19 @@ func TestMergeOrderInvariance(t *testing.T) {
 	var permute func(order []int, n int)
 	permute = func(order []int, n int) {
 		if n == 1 {
-			got := mergeDump(order)
+			in := make([]*Profile, k)
+			for i, j := range order {
+				in[i] = profiles[j]
+			}
+			merged, err := Merge(in...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := pcDump(merged)
 			if want == "" {
 				want = got
 			} else if got != want {
-				t.Fatalf("merge order %v produced a different drained table", order)
+				t.Fatalf("merge order %v produced a different conflict graph", order)
 			}
 			perms++
 			return
@@ -164,7 +186,6 @@ func TestShardDrainOrderInvariance(t *testing.T) {
 		synthStream(20_000, 1234, p)
 		prof := p.Profile()
 		dumps = append(dumps, fmt.Sprintf("branches=%d\n%s", prof.NumBranches(), pairDump(prof.Pairs)))
-		prof.Release()
 	}
 	for i := 1; i < len(dumps); i++ {
 		if dumps[i] != dumps[0] {

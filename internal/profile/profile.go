@@ -16,7 +16,6 @@ package profile
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -51,22 +50,13 @@ type Profile struct {
 	// outcomes per static branch.
 	Exec  []uint64
 	Taken []uint64
-	// Pairs maps PairKey(id,id) to the interleave count of the pair.
-	Pairs *PairCounts
+	// Pairs is the unpruned conflict graph over dense ids: the weight
+	// of edge {a, b} is the interleave count of branches a and b.
+	Pairs *graph.Graph
 }
 
 // NumBranches returns the number of distinct static branches profiled.
 func (p *Profile) NumBranches() int { return len(p.PCs) }
-
-// Release returns the profile's pair table to the package pool for
-// reuse by a later extraction. Call it only on transient profiles whose
-// analysis is complete; the profile must not be used afterwards.
-func (p *Profile) Release() {
-	if p.Pairs != nil {
-		PutPairCounts(p.Pairs)
-		p.Pairs = nil
-	}
-}
 
 // DynamicBranches returns the total dynamic branch count.
 func (p *Profile) DynamicBranches() uint64 {
@@ -96,19 +86,11 @@ func (p *Profile) TakenRate(id int32) float64 {
 	return float64(p.Taken[id]) / float64(p.Exec[id])
 }
 
-// BuildGraph constructs the branch conflict graph over dense ids,
-// keeping only pairs whose interleave count is at least threshold
-// (the paper's pruning step; threshold 100 in Section 4.2).
+// BuildGraph returns the branch conflict graph over dense ids, keeping
+// only pairs whose interleave count is at least threshold (the paper's
+// pruning step; threshold 100 in Section 4.2).
 func (p *Profile) BuildGraph(threshold uint64) *graph.Graph {
-	g := graph.New(p.NumBranches())
-	p.Pairs.Range(func(k, w uint64) bool {
-		if w >= threshold {
-			a, b := UnpackPair(k)
-			g.AddEdge(a, b, w)
-		}
-		return true
-	})
-	return g
+	return p.Pairs.Filter(threshold, nil)
 }
 
 // Merge combines profiles of the same benchmark gathered from different
@@ -121,10 +103,12 @@ func Merge(profiles ...*Profile) (*Profile, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("profile: merge of zero profiles")
 	}
-	out := &Profile{
-		Benchmark: profiles[0].Benchmark,
-		Pairs:     NewPairCounts(0),
+	out := &Profile{Benchmark: profiles[0].Benchmark}
+	total := 0
+	for _, p := range profiles {
+		total += p.Pairs.NumEdges()
 	}
+	pairs := make([]graph.Pair, 0, total)
 	// Dense ids differ across runs; remap through PCs.
 	idOf := make(map[uint64]int32)
 	intern := func(pc uint64) int32 {
@@ -152,38 +136,15 @@ func Merge(profiles ...*Profile) (*Profile, error) {
 			out.Exec[remap[id]] += p.Exec[id]
 			out.Taken[remap[id]] += p.Taken[id]
 		}
-		p.Pairs.Range(func(k, w uint64) bool {
-			a, b := UnpackPair(k)
-			out.Pairs.Add(PairKey(remap[a], remap[b]), w)
-			return true
-		})
+		for a := range p.PCs {
+			nbrs, wts := p.Pairs.Neighbors(int32(a))
+			for i, b := range nbrs {
+				if int32(a) < b {
+					pairs = append(pairs, graph.Pair{U: remap[a], V: remap[b], W: wts[i]})
+				}
+			}
+		}
 	}
+	out.Pairs = graph.FromPairs(len(out.PCs), pairs)
 	return out, nil
-}
-
-// SortedPairs returns the interleave pairs ordered by descending count
-// (ties by key), for reports.
-func (p *Profile) SortedPairs() []PairCount {
-	out := make([]PairCount, 0, p.Pairs.Len())
-	p.Pairs.Range(func(k, w uint64) bool {
-		a, b := UnpackPair(k)
-		out = append(out, PairCount{A: a, B: b, Count: w})
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
-}
-
-// PairCount is one interleaving pair with its count.
-type PairCount struct {
-	A, B  int32
-	Count uint64
 }

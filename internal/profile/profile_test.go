@@ -62,13 +62,13 @@ func TestProfilerPaperExample(t *testing.T) {
 	feed(p, 4, 8, 12, 4)
 	prof := p.Profile()
 	idA, idB, idC := prof.IDOf(4), prof.IDOf(8), prof.IDOf(12)
-	if prof.Pairs.Get(PairKey(idA, idB)) != 1 {
+	if prof.Pairs.Weight(idA, idB) != 1 {
 		t.Fatal("(A,B) interleave not counted")
 	}
-	if prof.Pairs.Get(PairKey(idA, idC)) != 1 {
+	if prof.Pairs.Weight(idA, idC) != 1 {
 		t.Fatal("(A,C) interleave not counted")
 	}
-	if prof.Pairs.Get(PairKey(idB, idC)) != 0 {
+	if prof.Pairs.Weight(idB, idC) != 0 {
 		t.Fatal("(B,C) wrongly counted: B and C executed once each")
 	}
 	if prof.Pairs.Len() != 2 {
@@ -86,10 +86,9 @@ func TestProfilerLoopPair(t *testing.T) {
 	}
 	feed(p, pcs...)
 	prof := p.Profile()
-	key := PairKey(prof.IDOf(4), prof.IDOf(8))
 	// A executes 10 times; executions 2..10 each see B ahead (9), and
 	// B's executions 2..10 each see A ahead (9): total 18.
-	if got := prof.Pairs.Get(key); got != 18 {
+	if got := prof.Pairs.Weight(prof.IDOf(4), prof.IDOf(8)); got != 18 {
 		t.Fatalf("pair count = %d, want 18", got)
 	}
 }
@@ -158,16 +157,8 @@ func TestProfilerMatchesNaive(t *testing.T) {
 		if pf.Pairs.Len() != pn.Pairs.Len() {
 			t.Fatalf("trial %d: pair counts differ: %d vs %d", trial, pf.Pairs.Len(), pn.Pairs.Len())
 		}
-		mismatch := false
-		pn.Pairs.Range(func(k, v uint64) bool {
-			// Ids are assigned in first-execution order by both.
-			if pf.Pairs.Get(k) != v {
-				mismatch = true
-				return false
-			}
-			return true
-		})
-		if mismatch {
+		// Ids are assigned in first-execution order by both.
+		if pairDump(pf.Pairs) != pairDump(pn.Pairs) {
 			t.Fatalf("trial %d: pair values differ", trial)
 		}
 		for id := range pf.Exec {
@@ -184,14 +175,12 @@ func TestProfilerWindowLimitsDepth(t *testing.T) {
 	p := NewProfiler("w", "ref", WithWindow(2))
 	feed(p, 4, 8, 12, 16, 20, 24, 4)
 	prof := p.Profile()
-	total := uint64(0)
-	prof.Pairs.Range(func(_, v uint64) bool { total += v; return true })
-	if total != 2 {
+	if total := prof.Pairs.TotalWeight(); total != 2 {
 		t.Fatalf("window 2 counted %d pairs, want 2", total)
 	}
 	// The counted partners are the most recent: 24 and 20.
-	if prof.Pairs.Get(PairKey(prof.IDOf(4), prof.IDOf(24))) != 1 ||
-		prof.Pairs.Get(PairKey(prof.IDOf(4), prof.IDOf(20))) != 1 {
+	if prof.Pairs.Weight(prof.IDOf(4), prof.IDOf(24)) != 1 ||
+		prof.Pairs.Weight(prof.IDOf(4), prof.IDOf(20)) != 1 {
 		t.Fatal("window kept the wrong partners")
 	}
 	if p.Window() != 2 {
@@ -212,15 +201,7 @@ func TestProfilerUnboundedEqualsBigWindow(t *testing.T) {
 	if pu.Pairs.Len() != pw.Pairs.Len() {
 		t.Fatal("big window changed results")
 	}
-	equal := true
-	pu.Pairs.Range(func(k, v uint64) bool {
-		if pw.Pairs.Get(k) != v {
-			equal = false
-			return false
-		}
-		return true
-	})
-	if !equal {
+	if pairDump(pu.Pairs) != pairDump(pw.Pairs) {
 		t.Fatal("big window changed pair counts")
 	}
 }
@@ -272,10 +253,10 @@ func TestMergeProfiles(t *testing.T) {
 		t.Fatalf("input sets = %v", merged.InputSets)
 	}
 	// Pair (4,8) only from run a, pair (8,12) only from run b.
-	if merged.Pairs.Get(PairKey(merged.IDOf(4), id8)) == 0 {
+	if merged.Pairs.Weight(merged.IDOf(4), id8) == 0 {
 		t.Fatal("pair from run a lost")
 	}
-	if merged.Pairs.Get(PairKey(id8, merged.IDOf(12))) == 0 {
+	if merged.Pairs.Weight(id8, merged.IDOf(12)) == 0 {
 		t.Fatal("pair from run b lost")
 	}
 }
@@ -306,22 +287,6 @@ func TestMergeSingleIsIdentityShaped(t *testing.T) {
 	}
 	if merged.NumBranches() != orig.NumBranches() || merged.DynamicBranches() != orig.DynamicBranches() {
 		t.Fatal("single merge changed totals")
-	}
-}
-
-func TestSortedPairsOrdering(t *testing.T) {
-	p := NewProfiler("s", "ref")
-	var pcs []uint64
-	for i := 0; i < 5; i++ {
-		pcs = append(pcs, 4, 8)
-	}
-	pcs = append(pcs, 12, 4, 12, 4)
-	feed(p, pcs...)
-	pairs := p.Profile().SortedPairs()
-	for i := 1; i < len(pairs); i++ {
-		if pairs[i].Count > pairs[i-1].Count {
-			t.Fatal("SortedPairs not descending")
-		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package profile
 
-import "repro/internal/obs"
+import (
+	"repro/internal/graph"
+	"repro/internal/obs"
+)
 
 // Profiler consumes a branch event stream online and accumulates a
 // Profile. It implements the vm.BranchSink shape, so it can be attached
@@ -141,32 +144,9 @@ func (c *nbrCounter) grow() {
 	}
 }
 
-// get returns the count stored for key (0 if absent).
-func (c *nbrCounter) get(key int32) uint32 {
-	if len(c.slots) == 0 {
-		return 0
-	}
-	mask := uint32(len(c.slots) - 1)
-	i := nbrHash(key) & mask
-	kp := uint64(uint32(key)) + 1
-	for {
-		s := c.slots[i]
-		if s>>32 == kp {
-			return uint32(s)
-		}
-		if s == 0 {
-			return 0
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// has reports whether key is stored.
-func (c *nbrCounter) has(key int32) bool { return c.get(key) != 0 }
-
-// each calls f for every (key, count) stored, in slot order. Insertion
-// order is deterministic for a deterministic event stream, so slot
-// order is too — extraction does not need to sort.
+// each calls f for every (key, count) stored, in slot order.
+// Extraction hands the entries to graph.FromPairs, which sorts the
+// rows, so slot order never reaches the profile.
 func (c *nbrCounter) each(f func(key int32, count uint32)) {
 	for _, s := range c.slots {
 		if s != 0 {
@@ -435,49 +415,31 @@ func (p *Profiler) nbrOf(id int32) *nbrCounter {
 // never be written.
 var emptyNbr nbrCounter
 
-// distinctPairs counts the exact number of distinct unordered pairs
-// across the per-branch neighbor counters. One pair (a,b) may be stored
-// in a's counter, in b's, or in both; summing the per-counter sizes
-// would double-count the shared ones and over-allocate the extraction
-// table ~2x. A pair is counted from the smaller id's counter when
-// present there, and from the larger id's counter only otherwise.
-func (p *Profiler) distinctPairs() int {
-	p.shards.drain()
-	distinct := 0
-	for id := range p.pcs {
-		a := int32(id)
-		p.nbrOf(a).each(func(b int32, _ uint32) {
-			if b > a || !p.nbrOf(b).has(a) {
-				distinct++
-			}
-		})
-	}
-	return distinct
-}
-
 // Profile extracts the accumulated profile. The Profiler remains usable;
 // further events continue accumulating on top.
 //
-// The returned profile's pair table comes from the package pool
-// (exactly sized, so extraction never rehashes); callers done with a
-// transient profile can hand the table back via Profile.Release.
-//
-// Extraction walks branch ids in ascending order and each counter in
-// its (deterministic) slot order, in both modes: a branch's counter
-// receives the same increment sequence serially and sharded, so the
-// walk — and therefore the extracted profile — is byte-identical for
-// every shard count.
+// Extraction reads the per-branch neighbor counters directly: each
+// entry (b, count) in branch a's counter becomes the pair {a, b}, and
+// graph.FromPairs sums the halves of a pair that accumulated in both
+// counters and sorts every row. The pair list is sized exactly from the
+// counter populations, and the graph's rows are sorted, so the
+// extracted profile depends only on the counters' contents — which are
+// identical for every shard count (DESIGN.md §15).
 func (p *Profiler) Profile() *Profile {
 	done := p.metrics.StartMerge()
 	// Quiesce the engine: staged batches are applied (and, sharded, the
 	// workers stopped), after which the counters are complete and safe
 	// to read from this goroutine.
 	p.shards.drain()
-	pairs := GetPairCounts(p.distinctPairs())
+	halves := 0
+	for id := range p.pcs {
+		halves += p.nbrOf(int32(id)).n
+	}
+	pairs := make([]graph.Pair, 0, halves)
 	for id := range p.pcs {
 		a := int32(id)
 		p.nbrOf(a).each(func(b int32, count uint32) {
-			pairs.Add(PairKey(a, b), uint64(count))
+			pairs = append(pairs, graph.Pair{U: a, V: b, W: uint64(count)})
 		})
 	}
 	out := &Profile{
@@ -487,9 +449,9 @@ func (p *Profiler) Profile() *Profile {
 		PCs:          append([]uint64(nil), p.pcs...),
 		Exec:         append([]uint64(nil), p.exec...),
 		Taken:        append([]uint64(nil), p.taken...),
-		Pairs:        pairs,
+		Pairs:        graph.FromPairs(len(p.pcs), pairs),
 	}
-	done(pairs.Len())
+	done(out.Pairs.Len())
 	return out
 }
 
@@ -511,7 +473,7 @@ type NaiveProfiler struct {
 	stamp []uint64 // last time stamp per id
 	seen  []bool   // id has executed at least once
 
-	pairs        *PairCounts
+	pairs        map[uint64]uint64 // PairKey -> interleave count
 	instructions uint64
 }
 
@@ -520,7 +482,7 @@ func NewNaiveProfiler(benchmark, inputSet string) *NaiveProfiler {
 	return &NaiveProfiler{
 		benchmark: benchmark,
 		inputSet:  inputSet,
-		pairs:     NewPairCounts(0),
+		pairs:     make(map[uint64]uint64),
 	}
 }
 
@@ -548,7 +510,7 @@ func (p *NaiveProfiler) Branch(pc uint64, taken bool, icount uint64) {
 				continue
 			}
 			if p.stamp[o] > prev {
-				p.pairs.Add(PairKey(id, o), 1)
+				p.pairs[PairKey(id, o)]++ //reprolint:allow hotpath reference profiler for tests, accumulates in a plain map by design
 			}
 		}
 	}
@@ -608,6 +570,11 @@ func (p *NaiveProfiler) intern(pc uint64) int32 {
 
 // Profile extracts the accumulated profile.
 func (p *NaiveProfiler) Profile() *Profile {
+	pairs := make([]graph.Pair, 0, len(p.pairs))
+	for k, w := range p.pairs {
+		a, b := UnpackPair(k)
+		pairs = append(pairs, graph.Pair{U: a, V: b, W: w})
+	}
 	out := &Profile{
 		Benchmark:    p.benchmark,
 		InputSets:    []string{p.inputSet},
@@ -615,7 +582,7 @@ func (p *NaiveProfiler) Profile() *Profile {
 		PCs:          append([]uint64(nil), p.pcs...),
 		Exec:         append([]uint64(nil), p.exec...),
 		Taken:        append([]uint64(nil), p.taken...),
-		Pairs:        p.pairs.Clone(),
+		Pairs:        graph.FromPairs(len(p.pcs), pairs),
 	}
 	return out
 }

@@ -59,7 +59,7 @@ func BenchmarkProfilerWindowed(b *testing.B) {
 }
 
 // BenchmarkProfileExtraction measures Profile() — the per-branch
-// neighbor-counter merge into the flat pair table.
+// neighbor-counter merge into the conflict graph.
 func BenchmarkProfileExtraction(b *testing.B) {
 	stream := syntheticStream(2000, 200, 1<<18)
 	p := NewProfiler("bench", "ref")

@@ -3,28 +3,24 @@ package profile
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
-// pairDump renders a pair table canonically: sorted by key, one line per
-// pair. Two tables with identical contents dump identically regardless
-// of seed or layout.
-func pairDump(t *PairCounts) string {
-	type kv struct{ k, v uint64 }
-	var pairs []kv
-	t.Range(func(k, v uint64) bool {
-		pairs = append(pairs, kv{k, v})
-		return true
-	})
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
+// pairDump renders a conflict graph canonically, one line per edge in
+// row order. Two graphs with identical contents dump identically.
+func pairDump(g *graph.Graph) string {
 	var b strings.Builder
-	for _, p := range pairs {
-		a, c := UnpackPair(p.k)
-		fmt.Fprintf(&b, "%d-%d:%d\n", a, c, p.v)
+	for u := int32(0); int(u) < g.N(); u++ {
+		nbrs, wts := g.Neighbors(u)
+		for i, v := range nbrs {
+			if u < v {
+				fmt.Fprintf(&b, "%d-%d:%d\n", u, v, wts[i])
+			}
+		}
 	}
 	return b.String()
 }
@@ -64,7 +60,6 @@ func TestShardedProfilerMatchesSerial(t *testing.T) {
 	naive := NewNaiveProfiler("synth", "ref")
 	synthStream(60_000, 42, serial, naive)
 	want := serial.Profile()
-	defer want.Release()
 	wantDump := pairDump(want.Pairs)
 
 	nv := naive.Profile()
@@ -81,7 +76,6 @@ func TestShardedProfilerMatchesSerial(t *testing.T) {
 			}
 			synthStream(60_000, 42, sharded)
 			p := sharded.Profile()
-			defer p.Release()
 			if got := pairDump(p.Pairs); got != wantDump {
 				t.Errorf("shards=%d pair table differs from serial", n)
 			}
@@ -104,8 +98,6 @@ func TestShardedProfilerWindowed(t *testing.T) {
 	sharded := NewProfiler("synth", "ref", WithWindow(8), WithShards(5))
 	synthStream(30_000, 7, serial, sharded)
 	a, b := serial.Profile(), sharded.Profile()
-	defer a.Release()
-	defer b.Release()
 	if pairDump(a.Pairs) != pairDump(b.Pairs) {
 		t.Fatal("windowed sharded profile differs from serial")
 	}
@@ -124,14 +116,10 @@ func TestShardedProfilerResumes(t *testing.T) {
 	if pairDump(mid.Pairs) != pairDump(midSerial.Pairs) {
 		t.Fatal("mid-stream sharded profile differs from serial")
 	}
-	mid.Release()
-	midSerial.Release()
 
 	synthStream(10_000, 2, serial, sharded)
 	end := sharded.Profile()
 	endSerial := serial.Profile()
-	defer end.Release()
-	defer endSerial.Release()
 	if pairDump(end.Pairs) != pairDump(endSerial.Pairs) {
 		t.Fatal("resumed sharded profile differs from serial")
 	}
@@ -153,7 +141,6 @@ func TestShardTableBytes(t *testing.T) {
 	// Accumulation must still work after the quiesce.
 	synthStream(5_000, 10, sharded)
 	p := sharded.Profile()
-	defer p.Release()
 	if p.Pairs.Len() == 0 {
 		t.Fatal("no pairs after ShardTableBytes quiesce + resume")
 	}

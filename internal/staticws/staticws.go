@@ -28,6 +28,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/classify"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/isa"
 	"repro/internal/profile"
 	"repro/internal/program"
@@ -280,7 +281,6 @@ func AnalyzeWithFacts(p *program.Program, facts *BranchFacts) (*Estimate, error)
 		PCs:       pcs,
 		Exec:      make([]uint64, len(pcs)),
 		Taken:     make([]uint64, len(pcs)),
-		Pairs:     profile.NewPairCounts(0),
 	}
 	est := &Estimate{
 		Prog: p, CFG: g, Forest: forest, Profile: prof,
@@ -293,6 +293,7 @@ func AnalyzeWithFacts(p *program.Program, facts *BranchFacts) (*Estimate, error)
 	// subtree is one unit. Pairs in distinct units share this loop as
 	// their innermost common loop and conflict at its depth; pairs
 	// within one child subtree conflict deeper and are charged there.
+	var pairs []graph.Pair
 	for _, l := range forest.Loops {
 		depth := a.effDepth(l)
 		w := Weight(depth)
@@ -315,12 +316,13 @@ func AnalyzeWithFacts(p *program.Program, facts *BranchFacts) (*Estimate, error)
 			for j := i + 1; j < len(units); j++ {
 				for _, x := range units[i] {
 					for _, y := range units[j] {
-						prof.Pairs.Add(profile.PairKey(x, y), w)
+						pairs = append(pairs, graph.Pair{U: x, V: y, W: w})
 					}
 				}
 			}
 		}
 	}
+	prof.Pairs = graph.FromPairs(len(pcs), pairs)
 
 	// Branches the loop walk never reached execute (at most) once per
 	// program: straight-line code and dead code. The estimate uses 2,

@@ -128,10 +128,7 @@ func TestFixtureConflicts(t *testing.T) {
 		profile.PairKey(latch, leaf2): Weight(1),
 		profile.PairKey(leaf1, leaf2): Weight(1),
 	}
-	got := map[uint64]uint64{}
-	for _, pc := range est.Profile.SortedPairs() {
-		got[profile.PairKey(pc.A, pc.B)] = pc.Count
-	}
+	got := pairMap(est.Profile)
 	if !reflect.DeepEqual(got, wantPairs) {
 		t.Errorf("static pairs = %v, want %v", got, wantPairs)
 	}
@@ -227,10 +224,7 @@ func TestNestedDepthWeights(t *testing.T) {
 		profile.PairKey(outerLatch, innerSkip):  Weight(1),
 		profile.PairKey(outerLatch, innerLatch): Weight(1),
 	}
-	got := map[uint64]uint64{}
-	for _, pc := range est.Profile.SortedPairs() {
-		got[profile.PairKey(pc.A, pc.B)] = pc.Count
-	}
+	got := pairMap(est.Profile)
 	if !reflect.DeepEqual(got, wantPairs) {
 		t.Errorf("static pairs = %v, want %v", got, wantPairs)
 	}
@@ -380,7 +374,7 @@ func TestDeterminism(t *testing.T) {
 		!reflect.DeepEqual(a.Profile.Taken, b.Profile.Taken) {
 		t.Fatal("static profiles diverge between runs")
 	}
-	if !reflect.DeepEqual(a.Profile.SortedPairs(), b.Profile.SortedPairs()) {
+	if !reflect.DeepEqual(a.Profile.Pairs, b.Profile.Pairs) {
 		t.Fatal("static pair weights diverge between runs")
 	}
 	if !reflect.DeepEqual(a.Depth, b.Depth) || !reflect.DeepEqual(a.Bias, b.Bias) {
@@ -437,10 +431,7 @@ func TestAnalyzeWithFactsPrunes(t *testing.T) {
 	wantPairs := map[uint64]uint64{
 		profile.PairKey(latch, leaf2): Weight(1),
 	}
-	got := map[uint64]uint64{}
-	for _, pc := range est.Profile.SortedPairs() {
-		got[profile.PairKey(pc.A, pc.B)] = pc.Count
-	}
+	got := pairMap(est.Profile)
 	if !reflect.DeepEqual(got, wantPairs) {
 		t.Errorf("pruned pairs = %v, want %v", got, wantPairs)
 	}
@@ -479,4 +470,18 @@ func TestAnalyzeWithFactsPrunes(t *testing.T) {
 	if err := analysis.VerifyAllocation(est.Profile, alloc); err != nil {
 		t.Errorf("VerifyAllocation: %v", err)
 	}
+}
+
+// pairMap lists a profile's conflict pairs by PairKey.
+func pairMap(p *profile.Profile) map[uint64]uint64 {
+	out := map[uint64]uint64{}
+	for u := int32(0); int(u) < p.Pairs.N(); u++ {
+		nbrs, wts := p.Pairs.Neighbors(u)
+		for i, v := range nbrs {
+			if u < v {
+				out[profile.PairKey(u, v)] = wts[i]
+			}
+		}
+	}
+	return out
 }
