@@ -1,5 +1,5 @@
 // Command bench measures the experiment harness and emits a
-// machine-readable benchmark report (default BENCH_7.json) for
+// machine-readable benchmark report (default bench.json, untracked) for
 // regression tracking: per-experiment ns/op, allocs/op, bytes/op and
 // approximate branch-stream throughput in Mbranches/s, a suite section
 // comparing serial record-then-replay against the parallel fused
@@ -12,14 +12,15 @@
 //
 // Usage:
 //
-//	bench [-scale 0.1] [-workers 8] [-o BENCH_7.json]
+//	bench [-scale 0.1] [-workers 8] [-o bench.json]
 //	      [-baseline BENCH_7.json] [-tolerance 0.25] [-update]
 //	      [-min-suite-speedup 1.0]
 //
 // With -baseline it compares each experiment's ns/op against the
 // committed baseline and exits nonzero on a regression beyond the
 // tolerance. Baselines are machine-specific: regenerate with -update
-// when the reference hardware changes. -min-suite-speedup fails the run
+// when the reference hardware changes, or write the committed baseline
+// directly with -o BENCH_7.json. -min-suite-speedup fails the run
 // if any sweep point's suite-level speedup over P=1 drops below the
 // bound — the guard against reintroducing the sharding regression.
 package main
@@ -118,7 +119,7 @@ func main() {
 	var (
 		scale      = flag.Float64("scale", 0.1, "workload scale factor for the benchmarks")
 		workers    = flag.Int("workers", 8, "worker count for the parallel fused comparison")
-		out        = flag.String("o", "BENCH_7.json", "write the benchmark report here")
+		out        = flag.String("o", "bench.json", "write the benchmark report here (the committed baseline is BENCH_7.json)")
 		baseline   = flag.String("baseline", "", "compare against this baseline report")
 		tolerance  = flag.Float64("tolerance", 0.25, "allowed fractional ns/op regression vs the baseline")
 		update     = flag.Bool("update", false, "overwrite the baseline with this run's report")
@@ -451,9 +452,10 @@ func compareSharding(clock obs.Clock, scale float64, sweep []int, m *obs.Metrics
 
 // streamBranches estimates the branch events that flowed through the
 // experiment's artifact pipeline: every cached benchmark contributed
-// its full stream (execution) plus its filtered stream (profiling).
-// It is a throughput denominator, not an exact event count — figure
-// re-executions and replays are not included. See README "Performance".
+// its full stream (execution), and those whose profile stage ran also
+// their filtered stream (profiling). It is a throughput denominator,
+// not an exact event count — figure re-executions and replays are not
+// included. See README "Performance".
 func streamBranches(s *harness.Suite) uint64 {
 	var total uint64
 	for _, name := range workload.Names() {
@@ -462,7 +464,10 @@ func streamBranches(s *harness.Suite) uint64 {
 			if !ok {
 				continue
 			}
-			total += a.Filter.DynamicTotal + a.Filter.DynamicKept
+			total += a.Filter.DynamicTotal
+			if a.Profile != nil {
+				total += a.Filter.DynamicKept
+			}
 		}
 	}
 	for _, name := range workload.GraphNames() {

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // TestTimeRunUsesInjectedClock proves bench timing is fully driven by
@@ -107,5 +109,38 @@ func TestCompareRegression(t *testing.T) {
 
 	if err := compare(filepath.Join(t.TempDir(), "missing.json"), ok, 0.25); err == nil {
 		t.Error("missing baseline file did not error")
+	}
+}
+
+// TestStreamBranchesCountsBuiltProfilesOnly pins the throughput
+// denominator to the work a run did: after Table 1 only the count
+// stage ran, so each stream contributes its full stream alone; once
+// Table 2 builds profiles, those streams add their filtered stream.
+func TestStreamBranchesCountsBuiltProfilesOnly(t *testing.T) {
+	s := harness.NewSuite(harness.Config{Scale: 0.02, Fused: true})
+	rows, err := s.Table1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full, kept uint64
+	for _, r := range rows {
+		full += r.TotalDynamic
+	}
+	if got := streamBranches(s); got != full {
+		t.Fatalf("after Table 1: streamBranches = %d, want the full streams' %d", got, full)
+	}
+
+	if _, err := s.Table2(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range harness.Table2Benchmarks {
+		a, ok := s.Cached(name, workload.InputRef)
+		if !ok || a.Profile == nil {
+			t.Fatalf("%s: no profile after Table 2", name)
+		}
+		kept += a.Filter.DynamicKept
+	}
+	if got := streamBranches(s); got != full+kept {
+		t.Fatalf("after Table 2: streamBranches = %d, want %d full + %d profiled", got, full, kept)
 	}
 }

@@ -177,7 +177,7 @@ type WindowRow struct {
 // AblationWindow profiles one benchmark at several scan windows,
 // quantifying the documented approximation the harness default uses.
 func (s *Suite) AblationWindow(benchmark string, windows []int) ([]WindowRow, error) {
-	a, err := s.Artifacts(benchmark, workload.InputRef)
+	a, err := s.Counts(benchmark, workload.InputRef)
 	if err != nil {
 		return nil, err
 	}

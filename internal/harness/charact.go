@@ -84,7 +84,7 @@ func (s *Suite) Charact() ([]CharactRow, error) {
 			}
 			taken = a.Stats.TakenRate()
 		} else {
-			a, err := s.Artifacts(target.name, workload.InputRef)
+			a, err := s.Counts(target.name, workload.InputRef)
 			if err != nil {
 				return CharactRow{}, err
 			}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -58,19 +59,123 @@ func TestArtifactsCachedAndComplete(t *testing.T) {
 	if a1.Profile.DynamicBranches() != a1.Filter.DynamicKept {
 		t.Fatal("profile not built from the filtered trace")
 	}
+	c1, err := s.Counts("compress", workload.InputRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c1.Profile != nil || c1.Trace != a1.Trace {
+		t.Fatal("profile stage not built on the cached count stage")
+	}
 	s.Drop("compress", workload.InputRef)
+	if _, ok := s.Cached("compress", workload.InputRef); ok {
+		t.Fatal("Drop left a stage cached")
+	}
+	c3, err := s.Counts("compress", workload.InputRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c3 == c1 {
+		t.Fatal("Drop did not evict the count stage")
+	}
 	a3, err := s.Artifacts("compress", workload.InputRef)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a3 == a1 {
-		t.Fatal("Drop did not evict")
+		t.Fatal("Drop did not evict the profile stage")
+	}
+	if a3.Trace != c3.Trace {
+		t.Fatal("rebuilt profile stage not built on the rebuilt count stage")
 	}
 }
 
 func TestArtifactsUnknownBenchmark(t *testing.T) {
-	if _, err := testSuite().Artifacts("nope", workload.InputRef); err == nil {
+	s := testSuite()
+	if _, err := s.Artifacts("nope", workload.InputRef); err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+	if _, err := s.Counts("nope", workload.InputRef); err == nil {
+		t.Fatal("unknown benchmark accepted by the count stage")
+	}
+	if _, ok := s.Cached("nope", workload.InputRef); ok {
+		t.Fatal("failed stage cached")
+	}
+}
+
+// TestFailedProfileStageNotCached fails the profile stage after a
+// successful count stage: the failure must not be cached, and the retry
+// must build on the cached count stage rather than re-run it.
+func TestFailedProfileStageNotCached(t *testing.T) {
+	reg := metricsRegistry()
+	s := NewSuite(Config{Scale: 0.05, Fused: true, Metrics: obs.New(reg)})
+	c, err := s.Counts("li", workload.InputRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := c.Spec
+	c.Spec.Functions = 0 // the filtered re-execution now fails to build
+	if _, err := s.Artifacts("li", workload.InputRef); err == nil {
+		t.Fatal("profile stage succeeded on an invalid spec")
+	}
+	if a, ok := s.Cached("li", workload.InputRef); !ok || a != c {
+		t.Fatal("failed profile stage displaced the count stage")
+	}
+	c.Spec = spec
+	a, err := s.Artifacts("li", workload.InputRef)
+	if err != nil {
+		t.Fatalf("retry after a failed profile stage: %v", err)
+	}
+	if a.Profile == nil {
+		t.Fatal("retried profile stage has no profile")
+	}
+	if got := reg.Counter("wsd_vm_runs_total").Value(); got != 2 {
+		t.Errorf("vm runs = %d, want 2 (one count execution, one profile execution)", got)
+	}
+}
+
+// TestStagesSingleflight races Counts and Artifacts for one key from 8
+// goroutines: each stage must run exactly once and every caller must
+// get the same cached value.
+func TestStagesSingleflight(t *testing.T) {
+	reg := metricsRegistry()
+	s := NewSuite(Config{Scale: 0.05, Fused: true, Metrics: obs.New(reg)})
+	const callers = 8
+	counts := make([]*Artifacts, callers)
+	profiled := make([]*Artifacts, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var errC, errA error
+			if i%2 == 0 {
+				counts[i], errC = s.Counts("li", workload.InputRef)
+				profiled[i], errA = s.Artifacts("li", workload.InputRef)
+			} else {
+				profiled[i], errA = s.Artifacts("li", workload.InputRef)
+				counts[i], errC = s.Counts("li", workload.InputRef)
+			}
+			if errC != nil || errA != nil {
+				t.Errorf("caller %d: %v, %v", i, errC, errA)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < callers; i++ {
+		if counts[i] != counts[0] || profiled[i] != profiled[0] {
+			t.Fatalf("caller %d got a different cached value", i)
+		}
+	}
+	if counts[0].Profile != nil || profiled[0].Profile == nil {
+		t.Fatal("stages mixed up: count stage with a profile or profile stage without")
+	}
+	for _, stage := range []string{"execute", "profile"} {
+		if got := stageCount(reg, "li", stage); got != 1 {
+			t.Errorf("%s stage ran %d times, want 1", stage, got)
+		}
+	}
+	if got := reg.Counter("wsd_vm_runs_total").Value(); got != 2 {
+		t.Errorf("vm runs = %d, want 2", got)
 	}
 }
 

@@ -172,3 +172,72 @@ func TestStageSpansRecorded(t *testing.T) {
 		}
 	}
 }
+
+// stageCount returns how many spans the registry recorded for one
+// benchmark stage.
+func stageCount(reg *obs.Registry, benchmark, stage string) uint64 {
+	want := obs.Name("wsd_stage", "benchmark", benchmark, "stage", stage)
+	for _, st := range reg.Snapshot().Stages {
+		if st.Name == want {
+			return st.Count
+		}
+	}
+	return 0
+}
+
+// TestStagedArtifactCosts pins what each artifact stage costs. Table 1
+// reads only the count stage: one execution per benchmark and no
+// profile. Table 2 then builds its profiles on the cached count stages
+// without re-running them — one filtered execution each in fused mode,
+// none in record mode, which replays the retained trace.
+func TestStagedArtifactCosts(t *testing.T) {
+	names := workload.Names()
+	for _, tc := range []struct {
+		name            string
+		fused           bool
+		runsAfterTable2 uint64
+	}{
+		{"fused", true, uint64(len(names) + len(Table2Benchmarks))},
+		{"record", false, uint64(len(names))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metricsRegistry()
+			s := NewSuite(Config{Scale: 0.05, Workers: 2, Fused: tc.fused, Metrics: obs.New(reg)})
+			counter := func(name string) uint64 { return reg.Counter(name).Value() }
+
+			if _, err := s.Table1(); err != nil {
+				t.Fatal(err)
+			}
+			if got := counter("wsd_vm_runs_total"); got != uint64(len(names)) {
+				t.Errorf("vm runs after Table 1 = %d, want %d (one per benchmark)", got, len(names))
+			}
+			if got := counter("wsd_profile_events_total"); got != 0 {
+				t.Errorf("profile events after Table 1 = %d, want 0", got)
+			}
+			for _, name := range names {
+				a, ok := s.Cached(name, workload.InputRef)
+				switch {
+				case !ok:
+					t.Errorf("%s: not cached after Table 1", name)
+				case a.Profile != nil:
+					t.Errorf("%s: Table 1 built a profile", name)
+				case a.VMStats.CondBranches == 0:
+					t.Errorf("%s: cached count stage has no VM stats", name)
+				}
+			}
+
+			if _, err := s.Table2(); err != nil {
+				t.Fatal(err)
+			}
+			if got := counter("wsd_vm_runs_total"); got != tc.runsAfterTable2 {
+				t.Errorf("vm runs after Table 2 = %d, want %d", got, tc.runsAfterTable2)
+			}
+			if got := stageCount(reg, "li", "execute"); got != 1 {
+				t.Errorf("li count stage ran %d times, want 1", got)
+			}
+			if counter("wsd_profile_events_total") == 0 {
+				t.Error("Table 2 profiled no events")
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -118,10 +119,17 @@ func TestFusedArtifactsMatchRecorded(t *testing.T) {
 
 // renderEverything runs the complete cmd/tables composition — all
 // tables, both figures, the ablations and the extended experiments —
-// and returns the rendered bytes.
-func renderEverything(t *testing.T, cfg Config) string {
+// and returns the rendered bytes. With table1First the suite first
+// renders Table 1 alone, so the full run starts from cached count
+// stages only.
+func renderEverything(t *testing.T, cfg Config, table1First bool) string {
 	t.Helper()
 	s := NewSuite(cfg)
+	if table1First {
+		if err := RunTable(s, io.Discard, 1, false); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var b strings.Builder
 	if err := RunAll(s, &b, false); err != nil {
 		t.Fatal(err)
@@ -139,14 +147,27 @@ func renderEverything(t *testing.T, cfg Config) string {
 // determinism guarantee: the full rendered output — every table,
 // figure, ablation and extended experiment — is byte-identical between
 // the serial record-then-replay pipeline and the parallel fused
-// streaming pipeline (with the artifact verifiers enabled). Run under
-// -race in CI, it also shakes out data races in the worker pool.
+// streaming pipeline (with the artifact verifiers enabled), and in both
+// modes between a fresh suite and one that rendered Table 1 alone
+// first. Run under -race in CI, it also shakes out data races in the
+// worker pool.
 func TestParallelFusedOutputByteIdentical(t *testing.T) {
-	serial := renderEverything(t, Config{Scale: 0.05, Workers: 1})
-	parallel := renderEverything(t, Config{Scale: 0.05, Workers: 4, Fused: true, Check: true})
-	if serial != parallel {
-		t.Fatalf("output differs between serial/record and parallel/fused:\n--- serial ---\n%s\n--- parallel fused ---\n%s",
-			serial, parallel)
+	serialCfg := Config{Scale: 0.05, Workers: 1}
+	parallelCfg := Config{Scale: 0.05, Workers: 4, Fused: true, Check: true}
+	serial := renderEverything(t, serialCfg, false)
+	for _, run := range []struct {
+		name        string
+		cfg         Config
+		table1First bool
+	}{
+		{"parallel fused", parallelCfg, false},
+		{"serial record after Table 1", serialCfg, true},
+		{"parallel fused after Table 1", parallelCfg, true},
+	} {
+		if got := renderEverything(t, run.cfg, run.table1First); got != serial {
+			t.Fatalf("output differs between serial/record and %s:\n--- serial ---\n%s\n--- %s ---\n%s",
+				run.name, serial, run.name, got)
+		}
 	}
 	for _, want := range []string{"Table 1", "Table 4", "Figure 3", "Figure 4", "Ablation", "Extended"} {
 		if !strings.Contains(serial, want) {

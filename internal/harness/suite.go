@@ -1,9 +1,11 @@
 // Package harness defines and runs the paper's experiments: Tables 1-4
 // and Figures 3-4 (see DESIGN.md's per-experiment index). A Suite caches
-// the expensive per-benchmark artifacts — the branch statistics, the
-// frequency filter, and the interleave profile — so that every table and
-// figure derived from one benchmark shares a single run, as the paper's
-// methodology does.
+// the expensive per-benchmark artifacts in two stages — the count stage
+// (branch statistics and frequency filter) and the profile stage built
+// on it (the interleave profile) — so that every table and figure
+// derived from one benchmark shares a single run, as the paper's
+// methodology does, and a table that needs only counts builds no
+// profile.
 //
 // The suite is an embarrassingly parallel pipeline, like the
 // trace-driven simulators it reproduces: benchmarks are independent, so
@@ -144,7 +146,10 @@ func (c Config) Defaults() Config {
 	return c
 }
 
-// Artifacts are the cached products of one benchmark run.
+// Artifacts are the cached products of one benchmark run. Each classic
+// benchmark's artifacts come in two stages: Suite.Counts returns the
+// count stage (one execution and the frequency filter; Profile nil), and
+// Suite.Artifacts the profile stage built on it (Profile set).
 type Artifacts struct {
 	Spec    workload.Spec
 	Input   workload.InputSet
@@ -155,46 +160,33 @@ type Artifacts struct {
 	// mode its counts are populated but Filter.Kept is nil — the
 	// filtered stream is regenerated on demand (see Suite.replayFiltered).
 	Filter trace.FilterResult
-	// Profile is the interleave profile of the filtered stream.
+	// Profile is the interleave profile of the filtered stream; nil in
+	// count-stage artifacts.
 	Profile *profile.Profile
 	// keep is the analyzed static branch set (fused mode only); it
 	// reproduces the filtered stream from a re-execution.
 	keep map[uint64]struct{}
 }
 
-// entry is one cache slot; done closes when the computation finishes,
-// so concurrent requests for the same benchmark wait instead of
-// duplicating the run.
-type entry struct {
-	done chan struct{}
-	a    *Artifacts
-	err  error
-}
-
 // Suite runs experiments with shared per-benchmark caching. Methods are
-// safe for concurrent use; concurrent requests for one benchmark share
-// a single computation.
+// safe for concurrent use; concurrent requests for one benchmark stage
+// share a single computation.
 type Suite struct {
 	cfg Config
 
-	mu    sync.Mutex
-	cache map[string]*entry
-
-	// graphMu/graphCache is the graph benchmarks' artifact cache, the
-	// same singleflight discipline as cache over GraphArtifacts.
-	graphMu    sync.Mutex
-	graphCache map[string]*graphEntry
+	// counts and profiles cache the classic benchmarks' two artifact
+	// stages, keyed "benchmark/input"; graphs caches the graph
+	// benchmarks' artifacts by name.
+	counts   flight[*Artifacts]
+	profiles flight[*Artifacts]
+	graphs   flight[*GraphArtifacts]
 
 	progMu sync.Mutex
 }
 
 // NewSuite returns a Suite with cfg (unset fields defaulted).
 func NewSuite(cfg Config) *Suite {
-	return &Suite{
-		cfg:        cfg.Defaults(),
-		cache:      make(map[string]*entry),
-		graphCache: make(map[string]*graphEntry),
-	}
+	return &Suite{cfg: cfg.Defaults()}
 }
 
 // Config returns the effective configuration.
@@ -208,33 +200,36 @@ func (s *Suite) progressf(format string, args ...any) {
 	}
 }
 
-// Artifacts runs (or returns the cached run of) one benchmark under one
-// input set: execute, frequency-filter, and profile — via record and
-// replay, or via fused streaming passes when Config.Fused is set.
-func (s *Suite) Artifacts(benchmark string, input workload.InputSet) (*Artifacts, error) {
-	key := benchmark + "/" + input.Name
-	s.mu.Lock()
-	if e, ok := s.cache[key]; ok {
-		s.mu.Unlock()
-		<-e.done
-		return e.a, e.err
-	}
-	e := &entry{done: make(chan struct{})}
-	s.cache[key] = e
-	s.mu.Unlock()
-
-	e.a, e.err = s.compute(benchmark, input)
-	if e.err != nil {
-		// Do not cache failures; a later call may retry.
-		s.mu.Lock()
-		delete(s.cache, key)
-		s.mu.Unlock()
-	}
-	close(e.done)
-	return e.a, e.err
+func artifactsKey(benchmark string, input workload.InputSet) string {
+	return benchmark + "/" + input.Name
 }
 
-func (s *Suite) compute(benchmark string, input workload.InputSet) (*Artifacts, error) {
+// Counts runs (or returns the cached run of) one benchmark's count
+// stage under one input set: a single execution — recorded, or streamed
+// into a frequency counter when Config.Fused is set — and the frequency
+// filter. The returned artifacts have no Profile; that is all Table 1
+// and the full-stream replays need.
+func (s *Suite) Counts(benchmark string, input workload.InputSet) (*Artifacts, error) {
+	return s.counts.do(artifactsKey(benchmark, input), func() (*Artifacts, error) {
+		return s.computeCounts(benchmark, input)
+	})
+}
+
+// Artifacts runs (or returns the cached run of) one benchmark's profile
+// stage under one input set: the count stage (see Counts), then the
+// interleave profile of its filtered stream. The returned artifacts
+// always carry the profile.
+func (s *Suite) Artifacts(benchmark string, input workload.InputSet) (*Artifacts, error) {
+	return s.profiles.do(artifactsKey(benchmark, input), func() (*Artifacts, error) {
+		c, err := s.Counts(benchmark, input)
+		if err != nil {
+			return nil, err
+		}
+		return s.computeProfile(c)
+	})
+}
+
+func (s *Suite) computeCounts(benchmark string, input workload.InputSet) (*Artifacts, error) {
 	spec, err := workload.ByName(benchmark)
 	if err != nil {
 		return nil, err
@@ -248,10 +243,83 @@ func (s *Suite) compute(benchmark string, input workload.InputSet) (*Artifacts, 
 			return nil, err
 		}
 	}
+	a := &Artifacts{Spec: spec, Input: input}
 	if s.cfg.Fused {
-		return s.computeFused(spec, input)
+		err = s.countFused(a)
+	} else {
+		err = s.countRecord(a)
 	}
-	return s.computeRecord(spec, input)
+	if err != nil {
+		return nil, fmt.Errorf("harness: running %s: %w", spec.Name, err)
+	}
+	return a, nil
+}
+
+// countRecord executes once into a recorder and filters the trace,
+// retaining both in a.
+func (s *Suite) countRecord(a *Artifacts) error {
+	s.progressf("run %s (input %s, scale %.2f)", a.Spec.Name, a.Input.Name, s.cfg.Scale)
+	execSpan := s.stageSpan(a.Spec.Name, "execute")
+	tr, stats, err := a.Spec.Run(s.runConfig(a.Input))
+	execSpan.End()
+	if err != nil {
+		return err
+	}
+	a.Trace, a.VMStats = tr, stats
+	a.Filter = tr.FilterByCoverage(a.Spec.AnalyzeCoverage)
+	return nil
+}
+
+// countFused executes once into a frequency counter and derives the
+// same keep set the recorded filter would select. No event buffer is
+// ever materialized.
+func (s *Suite) countFused(a *Artifacts) error {
+	s.progressf("run %s (fused pre-count, input %s, scale %.2f)", a.Spec.Name, a.Input.Name, s.cfg.Scale)
+	execSpan := s.stageSpan(a.Spec.Name, "execute")
+	var freq trace.FreqCounter
+	stats, err := a.Spec.RunInto(s.runConfig(a.Input), &freq)
+	execSpan.End()
+	if err != nil {
+		return err
+	}
+	dynTotal, staticTotal := freq.Total()
+	keep, dynKept := trace.SelectByCoverage(freq.Stats(), a.Spec.AnalyzeCoverage)
+	a.VMStats, a.keep = stats, keep
+	a.Filter = trace.FilterResult{
+		StaticKept:   len(keep),
+		StaticTotal:  staticTotal,
+		DynamicKept:  dynKept,
+		DynamicTotal: dynTotal,
+	}
+	return nil
+}
+
+// computeProfile builds the profile stage on a finished count stage c:
+// it replays c's filtered stream — the recorded filtered trace, or in
+// fused mode a second execution through c's keep set — into the
+// profiler. c is shared by every reader of the count stage, so the
+// profile goes into a copy.
+func (s *Suite) computeProfile(c *Artifacts) (*Artifacts, error) {
+	window := s.profileWindow(c.Spec)
+	mode := ""
+	if s.cfg.Fused {
+		mode = " (fused)"
+	}
+	s.progressf("profile %s%s: %d dynamic branches (%d static, %.2f%% analyzed, window %d)",
+		c.Spec.Name, mode, c.Filter.DynamicKept, c.Filter.StaticKept, 100*c.Filter.Coverage(), window)
+	profSpan := s.stageSpan(c.Spec.Name, "profile")
+	defer profSpan.End()
+	prof := profile.NewProfiler(c.Spec.Name, c.Input.Name,
+		profile.WithWindow(window), profile.WithShards(s.cfg.ProfileShards),
+		profile.WithMetrics(s.cfg.Metrics.Profile()))
+	prof.Reserve(c.Spec.StaticBranches())
+	if err := s.replayFiltered(c, prof); err != nil {
+		return nil, err
+	}
+	prof.SetInstructions(c.VMStats.Instructions)
+	a := *c
+	a.Profile = prof.Profile()
+	return &a, nil
 }
 
 // profileWindow resolves the interleave scan window for one spec.
@@ -271,91 +339,10 @@ func (s *Suite) stageSpan(benchmark, stage string) *obs.Span {
 	return s.cfg.Metrics.StartSpan(obs.Name("wsd_stage", "benchmark", benchmark, "stage", stage))
 }
 
-// computeRecord is the record-then-replay path: execute once into a
-// recorder, filter the trace, and replay the filtered trace into the
-// profiler. It retains the full trace in the artifacts.
-func (s *Suite) computeRecord(spec workload.Spec, input workload.InputSet) (*Artifacts, error) {
-	s.progressf("run %s (input %s, scale %.2f)", spec.Name, input.Name, s.cfg.Scale)
-	execSpan := s.stageSpan(spec.Name, "execute")
-	tr, stats, err := spec.Run(workload.RunConfig{
-		Input: input, Scale: s.cfg.Scale, Metrics: s.cfg.Metrics.VM(),
-	})
-	execSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("harness: running %s: %w", spec.Name, err)
-	}
-
-	filter := tr.FilterByCoverage(spec.AnalyzeCoverage)
-
-	window := s.profileWindow(spec)
-	s.progressf("profile %s: %d dynamic branches (%d static, %.2f%% analyzed, window %d)",
-		spec.Name, filter.DynamicKept, filter.StaticKept, 100*filter.Coverage(), window)
-	profSpan := s.stageSpan(spec.Name, "profile")
-	prof := profile.NewProfiler(spec.Name, input.Name,
-		profile.WithWindow(window), profile.WithShards(s.cfg.ProfileShards),
-		profile.WithMetrics(s.cfg.Metrics.Profile()))
-	prof.Reserve(spec.StaticBranches())
-	filter.Kept.Replay(prof)
-	prof.SetInstructions(stats.Instructions)
-	defer profSpan.End()
-
-	return &Artifacts{
-		Spec:    spec,
-		Input:   input,
-		VMStats: stats,
-		Trace:   tr,
-		Filter:  filter,
-		Profile: prof.Profile(),
-	}, nil
-}
-
-// computeFused is the streaming path: a frequency pre-count pass
-// derives the same keep set the recorded filter would select, then a
-// second execution streams the filtered events straight into the
-// profiler. No event buffer is ever materialized.
-func (s *Suite) computeFused(spec workload.Spec, input workload.InputSet) (*Artifacts, error) {
-	runCfg := workload.RunConfig{Input: input, Scale: s.cfg.Scale, Metrics: s.cfg.Metrics.VM()}
-
-	s.progressf("run %s (fused pre-count, input %s, scale %.2f)", spec.Name, input.Name, s.cfg.Scale)
-	execSpan := s.stageSpan(spec.Name, "execute")
-	var freq trace.FreqCounter
-	stats, err := spec.RunInto(runCfg, &freq)
-	execSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("harness: running %s: %w", spec.Name, err)
-	}
-	branchStats := freq.Stats()
-	dynTotal, staticTotal := freq.Total()
-	keep, dynKept := trace.SelectByCoverage(branchStats, spec.AnalyzeCoverage)
-	filter := trace.FilterResult{
-		StaticKept:   len(keep),
-		StaticTotal:  staticTotal,
-		DynamicKept:  dynKept,
-		DynamicTotal: dynTotal,
-	}
-
-	window := s.profileWindow(spec)
-	s.progressf("profile %s (fused): %d dynamic branches (%d static, %.2f%% analyzed, window %d)",
-		spec.Name, filter.DynamicKept, filter.StaticKept, 100*filter.Coverage(), window)
-	profSpan := s.stageSpan(spec.Name, "profile")
-	defer profSpan.End()
-	prof := profile.NewProfiler(spec.Name, input.Name,
-		profile.WithWindow(window), profile.WithShards(s.cfg.ProfileShards),
-		profile.WithMetrics(s.cfg.Metrics.Profile()))
-	prof.Reserve(spec.StaticBranches())
-	if _, err := spec.RunInto(runCfg, trace.NewFilterSink(keep, prof)); err != nil {
-		return nil, fmt.Errorf("harness: profiling %s: %w", spec.Name, err)
-	}
-	prof.SetInstructions(stats.Instructions)
-
-	return &Artifacts{
-		Spec:    spec,
-		Input:   input,
-		VMStats: stats,
-		Filter:  filter,
-		Profile: prof.Profile(),
-		keep:    keep,
-	}, nil
+// runConfig is the execution configuration of every classic-benchmark
+// run the suite makes.
+func (s *Suite) runConfig(input workload.InputSet) workload.RunConfig {
+	return workload.RunConfig{Input: input, Scale: s.cfg.Scale, Metrics: s.cfg.Metrics.VM()}
 }
 
 // replayFull drives the benchmark's complete branch stream into sink:
@@ -366,9 +353,7 @@ func (s *Suite) replayFull(a *Artifacts, sink vm.BranchSink) error {
 		a.Trace.Replay(sink)
 		return nil
 	}
-	if _, err := a.Spec.RunInto(workload.RunConfig{
-		Input: a.Input, Scale: s.cfg.Scale, Metrics: s.cfg.Metrics.VM(),
-	}, sink); err != nil {
+	if _, err := a.Spec.RunInto(s.runConfig(a.Input), sink); err != nil {
 		return fmt.Errorf("harness: replaying %s: %w", a.Spec.Name, err)
 	}
 	return nil
@@ -381,56 +366,45 @@ func (s *Suite) replayFiltered(a *Artifacts, sink vm.BranchSink) error {
 		a.Filter.Kept.Replay(sink)
 		return nil
 	}
-	if _, err := a.Spec.RunInto(workload.RunConfig{
-		Input: a.Input, Scale: s.cfg.Scale, Metrics: s.cfg.Metrics.VM(),
-	}, trace.NewFilterSink(a.keep, sink)); err != nil {
+	if _, err := a.Spec.RunInto(s.runConfig(a.Input), trace.NewFilterSink(a.keep, sink)); err != nil {
 		return fmt.Errorf("harness: replaying %s (filtered): %w", a.Spec.Name, err)
 	}
 	return nil
 }
 
-// Cached returns a benchmark's artifacts only if they are already
-// computed, without triggering (or waiting on) a computation. The
-// benchmark tooling uses it to enumerate what a run actually touched.
+// Cached returns a benchmark's most complete finished artifacts — the
+// profile stage if it is done, else the count stage — without
+// triggering (or waiting on) a computation. VMStats is set either way;
+// Profile is nil unless the profile stage finished. The benchmark
+// tooling uses it to enumerate what a run actually touched.
 func (s *Suite) Cached(benchmark string, input workload.InputSet) (*Artifacts, bool) {
-	s.mu.Lock()
-	e, ok := s.cache[benchmark+"/"+input.Name]
-	s.mu.Unlock()
-	if !ok {
-		return nil, false
+	key := artifactsKey(benchmark, input)
+	if a, ok := s.profiles.peek(key); ok {
+		return a, true
 	}
-	select {
-	case <-e.done:
-		return e.a, e.err == nil
-	default:
-		return nil, false
-	}
+	return s.counts.peek(key)
 }
 
-// Drop evicts a benchmark's cached artifacts, freeing its trace memory.
+// Drop evicts a benchmark's cached artifacts, both stages, freeing its
+// trace memory.
 func (s *Suite) Drop(benchmark string, input workload.InputSet) {
-	s.mu.Lock()
-	delete(s.cache, benchmark+"/"+input.Name)
-	s.mu.Unlock()
+	key := artifactsKey(benchmark, input)
+	s.profiles.forget(key)
+	s.counts.forget(key)
 }
 
 // RetainedTraceBytes reports the event memory held by cached full
 // traces — the residency fused mode eliminates (it always reports 0
-// there). In-flight computations are not counted.
+// there). In-flight computations are not counted. A profile stage
+// shares its count stage's trace, so only count stages are summed.
 func (s *Suite) RetainedTraceBytes() uint64 {
 	const eventBytes = 24 // sizeof(trace.Event): two uint64 + padded bool
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var total uint64
-	for _, e := range s.cache {
-		select {
-		case <-e.done:
-			if e.a != nil && e.a.Trace != nil {
-				total += uint64(cap(e.a.Trace.Events)) * eventBytes
-			}
-		default:
+	s.counts.each(func(a *Artifacts) {
+		if a.Trace != nil {
+			total += uint64(cap(a.Trace.Events)) * eventBytes
 		}
-	}
+	})
 	return total
 }
 

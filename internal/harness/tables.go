@@ -22,12 +22,13 @@ type Table1Row struct {
 }
 
 // Table1 runs every benchmark and reports the dynamic branch counts and
-// the frequency filter's coverage. Benchmarks run concurrently under
-// the suite's worker pool; rows come back in canonical order.
+// the frequency filter's coverage. It needs only the count stage, so no
+// profile is built. Benchmarks run concurrently under the suite's
+// worker pool; rows come back in canonical order.
 func (s *Suite) Table1() ([]Table1Row, error) {
 	names := workload.Names()
 	return mapOrdered(s.cfg.Workers, len(names), func(i int) (Table1Row, error) {
-		a, err := s.Artifacts(names[i], workload.InputRef)
+		a, err := s.Counts(names[i], workload.InputRef)
 		if err != nil {
 			return Table1Row{}, err
 		}
