@@ -145,22 +145,18 @@ func benchmarkSuiteRunAll(b *testing.B, cfg harness.Config) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg.Scale = benchScale
-		s := harness.NewSuite(cfg)
-		if err := harness.RunAll(s, io.Discard, false); err != nil {
+		if err := harness.RunAll(harness.NewSuite(cfg), io.Discard, false); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(s.RetainedTraceBytes()), "trace-bytes")
 	}
 }
 
-// BenchmarkSuiteSerialRecord is the pre-parallel pipeline: one worker,
-// record-then-replay, full traces retained.
-func BenchmarkSuiteSerialRecord(b *testing.B) {
+// BenchmarkSuiteSerial runs the suite with one benchmark worker.
+func BenchmarkSuiteSerial(b *testing.B) {
 	benchmarkSuiteRunAll(b, harness.Config{Workers: 1})
 }
 
-// BenchmarkSuiteParallelFused is the streaming pipeline at the default
-// worker count: fused execution, no retained traces.
-func BenchmarkSuiteParallelFused(b *testing.B) {
-	benchmarkSuiteRunAll(b, harness.Config{Fused: true})
+// BenchmarkSuiteParallel runs the suite at the default worker count.
+func BenchmarkSuiteParallel(b *testing.B) {
+	benchmarkSuiteRunAll(b, harness.Config{})
 }

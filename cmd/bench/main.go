@@ -2,10 +2,9 @@
 // machine-readable benchmark report (default bench.json, untracked) for
 // regression tracking: per-experiment ns/op, allocs/op, bytes/op and
 // approximate branch-stream throughput in Mbranches/s, a suite section
-// comparing serial record-then-replay against the parallel fused
-// pipeline (wall clock, retained trace memory, fused throughput), and a
-// sharding sweep over P ∈ {1, 2, 4, 8} profile shards recording wall
-// clock, speedup vs P=1, throughput, and table memory at every point —
+// comparing a serial run (one benchmark worker) against a parallel one
+// (wall clock, parallel throughput), and a sharding sweep over
+// P ∈ {1, 2, 4, 8} profile shards recording wall clock, speedup vs P=1, throughput, and table memory at every point —
 // at the suite level (where the harness clamps P to GOMAXPROCS; clamped
 // points are marked and reuse the measurement of the effective P) and
 // as a direct profile pass with exact sharding.
@@ -52,18 +51,16 @@ type ExperimentResult struct {
 	MBranchesPerS float64 `json:"mbranches_per_s"`
 }
 
-// SuiteComparison contrasts the two harness pipelines over a full run
-// (all tables and figures).
+// SuiteComparison contrasts a serial and a parallel full run (all
+// tables and figures): only the benchmark worker count differs.
 type SuiteComparison struct {
-	Workers          int     `json:"workers"`
-	SerialRecordNs   int64   `json:"serial_record_ns"`
-	ParallelFusedNs  int64   `json:"parallel_fused_ns"`
-	Speedup          float64 `json:"speedup"`
-	RecordTraceBytes uint64  `json:"record_trace_bytes"`
-	FusedTraceBytes  uint64  `json:"fused_trace_bytes"`
-	// FusedMBranchesPerS is the fused pipeline's end-to-end branch
-	// throughput (ROADMAP item #1 tracks this against 10 Mbranches/s).
-	FusedMBranchesPerS float64 `json:"fused_mbranches_per_s"`
+	Workers    int     `json:"workers"`
+	SerialNs   int64   `json:"serial_ns"`
+	ParallelNs int64   `json:"parallel_ns"`
+	Speedup    float64 `json:"speedup"`
+	// ParallelMBranchesPerS is the parallel run's end-to-end branch
+	// throughput.
+	ParallelMBranchesPerS float64 `json:"parallel_mbranches_per_s"`
 }
 
 // ShardPoint is one P in the sharding sweep.
@@ -91,8 +88,7 @@ type ShardPoint struct {
 }
 
 // ShardingComparison sweeps the intra-benchmark hot paths over shard
-// counts: the full table+figure composition (fused, one benchmark
-// worker, so only intra-benchmark parallelism differs) and a direct
+// counts: the full table+figure composition (one benchmark worker, so only intra-benchmark parallelism differs) and a direct
 // unfiltered profile pass on one benchmark. Output is byte-identical at
 // every P; only time and memory differ — the differential suites in
 // internal/profile enforce this, and the merged pair count is checked
@@ -118,7 +114,7 @@ var shardSweep = []int{1, 2, 4, 8}
 func main() {
 	var (
 		scale      = flag.Float64("scale", 0.1, "workload scale factor for the benchmarks")
-		workers    = flag.Int("workers", 8, "worker count for the parallel fused comparison")
+		workers    = flag.Int("workers", 8, "worker count for the parallel suite run")
 		out        = flag.String("o", "bench.json", "write the benchmark report here (the committed baseline is BENCH_7.json)")
 		baseline   = flag.String("baseline", "", "compare against this baseline report")
 		tolerance  = flag.Float64("tolerance", 0.25, "allowed fractional ns/op regression vs the baseline")
@@ -295,7 +291,7 @@ func measure(clock obs.Clock, scale float64, workers int, zooKinds []string, wit
 				// A fresh suite per iteration measures the experiment
 				// cold: workload execution, filtering, profiling,
 				// analysis, simulation and rendering.
-				s := harness.NewSuite(harness.Config{Scale: scale, Fused: true})
+				s := harness.NewSuite(harness.Config{Scale: scale})
 				if err := e.run(s); err != nil {
 					benchErr = err
 					b.FailNow()
@@ -327,9 +323,9 @@ func measure(clock obs.Clock, scale float64, workers int, zooKinds []string, wit
 		return nil, err
 	}
 	rep.Suite = *suite
-	fmt.Printf("suite    serial/record %v, parallel(%d)/fused %v: %.2fx, trace bytes %d -> %d, fused %.2f Mbranches/s\n",
-		time.Duration(suite.SerialRecordNs), suite.Workers, time.Duration(suite.ParallelFusedNs),
-		suite.Speedup, suite.RecordTraceBytes, suite.FusedTraceBytes, suite.FusedMBranchesPerS)
+	fmt.Printf("suite    serial %v, parallel(%d) %v: %.2fx, %.2f Mbranches/s\n",
+		time.Duration(suite.SerialNs), suite.Workers, time.Duration(suite.ParallelNs),
+		suite.Speedup, suite.ParallelMBranchesPerS)
 
 	sharding, err := compareSharding(clock, scale, shardSweep, m)
 	if err != nil {
@@ -350,8 +346,8 @@ func measure(clock obs.Clock, scale float64, workers int, zooKinds []string, wit
 }
 
 // compareSharding sweeps the intra-benchmark hot paths over the shard
-// counts in sweep: the full table+figure composition (fused, one
-// benchmark worker, so only intra-benchmark parallelism differs), and a
+// counts in sweep: the full table+figure composition (one benchmark
+// worker, so only intra-benchmark parallelism differs), and a
 // direct unfiltered profile pass over the heaviest benchmark's branch
 // stream, where the table memory costs are also read.
 //
@@ -369,7 +365,7 @@ func compareSharding(clock obs.Clock, scale float64, sweep []int, m *obs.Metrics
 	suiteByEff := make(map[int]suiteRun)
 	runSuite := func(profileShards int) (suiteRun, error) {
 		s := harness.NewSuite(harness.Config{
-			Scale: scale, Workers: 1, Fused: true, ProfileShards: profileShards, Metrics: m,
+			Scale: scale, Workers: 1, ProfileShards: profileShards, Metrics: m,
 		})
 		elapsed, err := timeRun(clock, func() error {
 			return harness.RunAll(s, io.Discard, false)
@@ -478,37 +474,33 @@ func streamBranches(s *harness.Suite) uint64 {
 	return total
 }
 
-// compareSuites runs the complete table+figure composition once per
-// pipeline and reports wall clock and retained trace memory.
+// compareSuites runs the complete table+figure composition serially
+// (one benchmark worker) and with workers, and reports wall clock and
+// the parallel run's throughput.
 func compareSuites(clock obs.Clock, scale float64, workers int, m *obs.Metrics) (*SuiteComparison, error) {
-	run := func(cfg harness.Config) (time.Duration, uint64, uint64, error) {
-		s := harness.NewSuite(cfg)
+	run := func(workers int) (time.Duration, uint64, error) {
+		s := harness.NewSuite(harness.Config{Scale: scale, Workers: workers, Metrics: m})
 		elapsed, err := timeRun(clock, func() error {
 			return harness.RunAll(s, io.Discard, false)
 		})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		return elapsed, s.RetainedTraceBytes(), streamBranches(s), nil
+		return elapsed, streamBranches(s), err
 	}
-	serialNs, recBytes, _, err := run(harness.Config{Scale: scale, Workers: 1, Metrics: m})
+	serialNs, _, err := run(1)
 	if err != nil {
 		return nil, err
 	}
-	fusedNs, fusedBytes, fusedBranches, err := run(harness.Config{Scale: scale, Workers: workers, Fused: true, Metrics: m})
+	parallelNs, branches, err := run(workers)
 	if err != nil {
 		return nil, err
 	}
 	c := &SuiteComparison{
-		Workers:          workers,
-		SerialRecordNs:   serialNs.Nanoseconds(),
-		ParallelFusedNs:  fusedNs.Nanoseconds(),
-		RecordTraceBytes: recBytes,
-		FusedTraceBytes:  fusedBytes,
+		Workers:    workers,
+		SerialNs:   serialNs.Nanoseconds(),
+		ParallelNs: parallelNs.Nanoseconds(),
 	}
-	if fusedNs > 0 {
-		c.Speedup = float64(serialNs) / float64(fusedNs)
-		c.FusedMBranchesPerS = float64(fusedBranches) / (float64(fusedNs.Nanoseconds()) / 1e9) / 1e6
+	if parallelNs > 0 {
+		c.Speedup = float64(serialNs) / float64(parallelNs)
+		c.ParallelMBranchesPerS = float64(branches) / (float64(parallelNs.Nanoseconds()) / 1e9) / 1e6
 	}
 	return c, nil
 }

@@ -117,7 +117,7 @@ func TestCompareRegression(t *testing.T) {
 // stage ran, so each stream contributes its full stream alone; once
 // Table 2 builds profiles, those streams add their filtered stream.
 func TestStreamBranchesCountsBuiltProfilesOnly(t *testing.T) {
-	s := harness.NewSuite(harness.Config{Scale: 0.02, Fused: true})
+	s := harness.NewSuite(harness.Config{Scale: 0.02})
 	rows, err := s.Table1()
 	if err != nil {
 		t.Fatal(err)

@@ -145,7 +145,7 @@ func TestRoundTripMatchesHarness(t *testing.T) {
 		t.Fatalf("job failed: %s", j.Error)
 	}
 
-	direct := harness.NewSuite(harness.Config{Scale: 0.05, Fused: true})
+	direct := harness.NewSuite(harness.Config{Scale: 0.05})
 	var want bytes.Buffer
 	if err := harness.RunAll(direct, &want, false); err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestStaticMode(t *testing.T) {
 		t.Errorf("recorded kind = %q, want static (the ?mode alias must stick)", j.Req.Kind)
 	}
 
-	direct := harness.NewSuite(harness.Config{Scale: 0.05, Fused: true})
+	direct := harness.NewSuite(harness.Config{Scale: 0.05})
 	var want bytes.Buffer
 	if err := harness.RunStatic(direct, &want, false); err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestZooMode(t *testing.T) {
 		t.Errorf("recorded request = kind %q predictor %q (the query aliases must stick)", j.Req.Kind, j.Req.Predictor)
 	}
 
-	direct := harness.NewSuite(harness.Config{Scale: 0.05, Fused: true})
+	direct := harness.NewSuite(harness.Config{Scale: 0.05})
 	var want bytes.Buffer
 	if err := harness.RunZoo(direct, &want, false, "gshare", "perceptron"); err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func TestGraphCharactMode(t *testing.T) {
 		t.Fatalf("graphs job failed: %s", j.Error)
 	}
 
-	direct := harness.NewSuite(harness.Config{Scale: 0.05, Fused: true})
+	direct := harness.NewSuite(harness.Config{Scale: 0.05})
 	var want bytes.Buffer
 	if err := harness.RunGraphs(direct, &want, false, "pag"); err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestGraphCharactMode(t *testing.T) {
 		t.Fatalf("charact job failed: %s", cj.Error)
 	}
 	want.Reset()
-	if err := harness.RunCharact(harness.NewSuite(harness.Config{Scale: 0.05, Fused: true}), &want, false); err != nil {
+	if err := harness.RunCharact(harness.NewSuite(harness.Config{Scale: 0.05}), &want, false); err != nil {
 		t.Fatal(err)
 	}
 	if cj.Result != want.String() {
@@ -457,11 +457,18 @@ func TestValidation(t *testing.T) {
 		{Kind: "bogus"},
 		{Kind: "table", Table: 9},
 		{Kind: "figure", Figure: 1},
+		{Kind: "table", Table: 1, Scale: -0.5},
+		{Kind: "table", Table: 1, Workers: -1},
+		{Kind: "table", Table: 1, Shards: -2},
 	}
 	for _, c := range cases {
 		resp, body := postJSON(t, ts.URL+"/analyze", c)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%+v: status %d, want 400 (body %s)", c, resp.StatusCode, body)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
+			t.Errorf("%+v: 400 body %s is not a structured error", c, body)
 		}
 	}
 
@@ -478,6 +485,24 @@ func TestValidation(t *testing.T) {
 
 	if resp := getJSON(t, ts.URL+"/jobs/job-999", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestOversizedBodyRejected submits a body past the 1 MiB limit: it
+// gets a structured 413 and no job is created.
+func TestOversizedBodyRejected(t *testing.T) {
+	ts := newTestService(t, newServer(obs.NewRegistry(), 1))
+	req := analyzeRequest{Kind: "progcheck", Program: strings.Repeat("; padding\n", maxRequestBytes/10+1)}
+	resp, body := postJSON(t, ts.URL+"/analyze", req)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413 (body %.200s)", resp.StatusCode, body)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil || !strings.Contains(eb.Error, "exceeds") {
+		t.Errorf("413 body %.200s is not a structured error", body)
+	}
+	if resp := getJSON(t, ts.URL+"/jobs/job-1", nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("oversized request created a job: status %d", resp.StatusCode)
 	}
 }
 
@@ -575,7 +600,7 @@ func TestProgCheckConfig(t *testing.T) {
 		t.Fatalf("job failed: %s", j.Error)
 	}
 
-	direct := harness.NewSuite(harness.Config{Scale: 0.02, Fused: true, ProgCheck: true})
+	direct := harness.NewSuite(harness.Config{Scale: 0.02, ProgCheck: true})
 	var want bytes.Buffer
 	if err := harness.RunTable(direct, &want, 1, false); err != nil {
 		t.Fatal(err)

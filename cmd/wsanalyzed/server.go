@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -59,13 +60,21 @@ type analyzeRequest struct {
 	CliqueBudget int     `json:"clique_budget,omitempty"`
 	Workers      int     `json:"workers,omitempty"`
 	Shards       int     `json:"shards,omitempty"`
-	// Fused defaults to true (the CLI default) when omitted.
-	Fused    *bool `json:"fused,omitempty"`
-	Markdown bool  `json:"markdown,omitempty"`
-	Check    bool  `json:"check,omitempty"`
+	Markdown     bool    `json:"markdown,omitempty"`
+	Check        bool    `json:"check,omitempty"`
 }
 
 func (r *analyzeRequest) validate() error {
+	// Zero selects each knob's default; a negative value is a client
+	// error, not a request for the default.
+	switch {
+	case r.Scale < 0:
+		return fmt.Errorf("scale must be non-negative, got %g", r.Scale)
+	case r.Workers < 0:
+		return fmt.Errorf("workers must be non-negative, got %d", r.Workers)
+	case r.Shards < 0:
+		return fmt.Errorf("shards must be non-negative, got %d", r.Shards)
+	}
 	switch r.Kind {
 	case "", "all", "ablations", "extras", "static":
 	case "table":
@@ -137,10 +146,6 @@ func executeJob(req analyzeRequest, m *obs.Metrics) (string, error) {
 	if req.Kind == "progcheck" {
 		return runProgcheckJob(req.Program)
 	}
-	fused := true
-	if req.Fused != nil {
-		fused = *req.Fused
-	}
 	suite := harness.NewSuite(harness.Config{
 		Scale:         req.Scale,
 		Threshold:     req.Threshold,
@@ -148,7 +153,6 @@ func executeJob(req analyzeRequest, m *obs.Metrics) (string, error) {
 		Check:         req.Check,
 		Workers:       req.Workers,
 		ProfileShards: req.Shards,
-		Fused:         fused,
 		ProgCheck:     req.ProgCheck,
 		Metrics:       m,
 	})
@@ -305,9 +309,21 @@ type errorBody struct {
 	Findings []progcheck.Finding `json:"findings,omitempty"`
 }
 
+// maxRequestBytes bounds a POST /analyze body. The largest built-in
+// program is under 1 KiB, so 1 MiB leaves ample room for submitted
+// assembly while keeping one request from exhausting memory.
+const maxRequestBytes = 1 << 20
+
 func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req analyzeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err != io.EOF {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
+			Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
+		return
+	case err != nil && err != io.EOF:
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}

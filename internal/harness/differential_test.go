@@ -109,7 +109,7 @@ func TestShardedSuiteMatchesSerial(t *testing.T) {
 	names := workload.Names()
 
 	// Reference: strictly serial intra-benchmark pipeline.
-	ref := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: 1, Fused: true, Metrics: obs.New(obs.NewRegistry())})
+	ref := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: 1, Metrics: obs.New(obs.NewRegistry())})
 	want := make(map[string]string, len(names))
 	for _, name := range names {
 		want[name] = benchmarkDump(t, ref, name, 1)
@@ -123,7 +123,7 @@ func TestShardedSuiteMatchesSerial(t *testing.T) {
 		seen[shards] = true
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: shards, Fused: true, Metrics: obs.New(obs.NewRegistry())})
+			s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: shards, Metrics: obs.New(obs.NewRegistry())})
 			for _, name := range names {
 				if got := benchmarkDump(t, s, name, shards); got != want[name] {
 					t.Errorf("%s: shards=%d artifacts differ from serial\n--- serial ---\n%.2000s\n--- shards=%d ---\n%.2000s",
@@ -139,7 +139,7 @@ func TestShardedSuiteMatchesSerial(t *testing.T) {
 // with the shard count.
 func TestShardedRenderedTables(t *testing.T) {
 	render := func(shards int) string {
-		s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: shards, Fused: true, Metrics: obs.New(obs.NewRegistry())})
+		s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: shards, Metrics: obs.New(obs.NewRegistry())})
 		rows, err := s.Table2()
 		if err != nil {
 			t.Fatal(err)
@@ -163,7 +163,7 @@ func TestShardedRenderedTables(t *testing.T) {
 // (sharded profiles) and the benchmark-level parallelism around them.
 func TestZooDifferentialAcrossShards(t *testing.T) {
 	render := func(workers, shards int) string {
-		s := NewSuite(Config{Scale: 0.05, Workers: workers, ProfileShards: shards, Fused: true, Metrics: obs.New(obs.NewRegistry())})
+		s := NewSuite(Config{Scale: 0.05, Workers: workers, ProfileShards: shards, Metrics: obs.New(obs.NewRegistry())})
 		var b strings.Builder
 		if err := RunZoo(s, &b, false); err != nil {
 			t.Fatal(err)

@@ -38,11 +38,7 @@ func (f *flight[V]) do(key string, compute func() (V, error)) (V, error) {
 	c.v, c.err = compute()
 	if c.err != nil {
 		f.mu.Lock()
-		// A forget during the computation may have let a newer call
-		// take the slot; leave that one alone.
-		if f.calls[key] == c {
-			delete(f.calls, key)
-		}
+		delete(f.calls, key)
 		f.mu.Unlock()
 	}
 	close(c.done)
@@ -67,29 +63,5 @@ func (f *flight[V]) peek(key string) (V, bool) {
 		return c.v, true
 	default:
 		return zero, false
-	}
-}
-
-// forget evicts key; a computation in flight still delivers its result
-// to the callers already waiting on it.
-func (f *flight[V]) forget(key string) {
-	f.mu.Lock()
-	delete(f.calls, key)
-	f.mu.Unlock()
-}
-
-// each calls fn with the value of every successfully finished
-// computation, in no particular order; fn must not call back into f.
-func (f *flight[V]) each(fn func(V)) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, c := range f.calls {
-		select {
-		case <-c.done:
-			if c.err == nil {
-				fn(c.v)
-			}
-		default:
-		}
 	}
 }

@@ -41,7 +41,8 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestArtifactsCachedAndComplete(t *testing.T) {
-	s := NewSuite(Config{Scale: 0.05}) // private: exercises Drop
+	reg := metricsRegistry()
+	s := NewSuite(Config{Scale: 0.05, Metrics: obs.New(reg)})
 	a1, err := s.Artifacts("compress", workload.InputRef)
 	if err != nil {
 		t.Fatal(err)
@@ -53,39 +54,24 @@ func TestArtifactsCachedAndComplete(t *testing.T) {
 	if a1 != a2 {
 		t.Fatal("artifacts not cached")
 	}
-	if a1.Trace == nil || a1.Profile == nil || a1.Filter.Kept == nil {
+	if a1.Profile == nil || a1.Filter.DynamicKept == 0 {
 		t.Fatal("artifacts incomplete")
 	}
 	if a1.Profile.DynamicBranches() != a1.Filter.DynamicKept {
-		t.Fatal("profile not built from the filtered trace")
+		t.Fatal("profile not built from the filtered stream")
 	}
 	c1, err := s.Counts("compress", workload.InputRef)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1.Profile != nil || c1.Trace != a1.Trace {
+	if c1.Profile != nil || c1.VMStats != a1.VMStats || c1.Filter != a1.Filter {
 		t.Fatal("profile stage not built on the cached count stage")
 	}
-	s.Drop("compress", workload.InputRef)
-	if _, ok := s.Cached("compress", workload.InputRef); ok {
-		t.Fatal("Drop left a stage cached")
+	if got := stageCount(reg, "compress", "execute"); got != 1 {
+		t.Fatalf("count stage ran %d times, want 1", got)
 	}
-	c3, err := s.Counts("compress", workload.InputRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c3 == c1 {
-		t.Fatal("Drop did not evict the count stage")
-	}
-	a3, err := s.Artifacts("compress", workload.InputRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a3 == a1 {
-		t.Fatal("Drop did not evict the profile stage")
-	}
-	if a3.Trace != c3.Trace {
-		t.Fatal("rebuilt profile stage not built on the rebuilt count stage")
+	if a, ok := s.Cached("compress", workload.InputRef); !ok || a != a1 {
+		t.Fatal("Cached does not return the finished profile stage")
 	}
 }
 
@@ -107,7 +93,7 @@ func TestArtifactsUnknownBenchmark(t *testing.T) {
 // must build on the cached count stage rather than re-run it.
 func TestFailedProfileStageNotCached(t *testing.T) {
 	reg := metricsRegistry()
-	s := NewSuite(Config{Scale: 0.05, Fused: true, Metrics: obs.New(reg)})
+	s := NewSuite(Config{Scale: 0.05, Metrics: obs.New(reg)})
 	c, err := s.Counts("li", workload.InputRef)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +124,7 @@ func TestFailedProfileStageNotCached(t *testing.T) {
 // get the same cached value.
 func TestStagesSingleflight(t *testing.T) {
 	reg := metricsRegistry()
-	s := NewSuite(Config{Scale: 0.05, Fused: true, Metrics: obs.New(reg)})
+	s := NewSuite(Config{Scale: 0.05, Metrics: obs.New(reg)})
 	const callers = 8
 	counts := make([]*Artifacts, callers)
 	profiled := make([]*Artifacts, callers)

@@ -19,13 +19,13 @@ func metricsRegistry() *obs.Registry {
 }
 
 // TestMetricsDoNotPerturbOutput is the central determinism guarantee of
-// the observability layer: a full parallel fused suite run renders
+// the observability layer: a full parallel suite run renders
 // byte-identical output with instrumentation off and on.
 func TestMetricsDoNotPerturbOutput(t *testing.T) {
 	render := func(m *obs.Metrics) string {
 		// Scale 0.02 keeps the double full-suite run affordable under
 		// -race; the byte-identity property is scale-independent.
-		s := NewSuite(Config{Scale: 0.02, ProfileShards: 3, Fused: true, Metrics: m})
+		s := NewSuite(Config{Scale: 0.02, ProfileShards: 3, Metrics: m})
 		var buf bytes.Buffer
 		if err := RunAll(s, &buf, false); err != nil {
 			t.Fatal(err)
@@ -39,31 +39,32 @@ func TestMetricsDoNotPerturbOutput(t *testing.T) {
 	}
 }
 
-// TestRecordModeCountersExact pins the instrumented pipeline's counters
-// to independently-known quantities for one benchmark in record mode:
-// the VM series must equal the run's Stats, the profiler event count
-// must equal the filtered dynamic branch count, and the pair-increment
-// total must equal the pair table's total weight.
-func TestRecordModeCountersExact(t *testing.T) {
+// TestStreamedCountersExact pins the instrumented pipeline's counters
+// to independently-known quantities for one benchmark's profile stage.
+// The stage executes the benchmark twice (the count run and the
+// filtered profile run), so every VM series is twice the run's Stats;
+// the profiler event count must equal the filtered dynamic branch
+// count, and the pair-increment total the pair table's total weight.
+func TestStreamedCountersExact(t *testing.T) {
 	reg := metricsRegistry()
-	s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: 1, Fused: false, Metrics: obs.New(reg)})
+	s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: 1, Metrics: obs.New(reg)})
 	a, err := s.Artifacts("li", workload.InputRef)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	counter := func(name string) uint64 { return reg.Counter(name).Value() }
-	if got := counter("wsd_vm_runs_total"); got != 1 {
-		t.Errorf("vm runs = %d, want 1 (record mode executes once)", got)
+	if got := counter("wsd_vm_runs_total"); got != 2 {
+		t.Errorf("vm runs = %d, want 2 (count run and filtered profile run)", got)
 	}
-	if got := counter("wsd_vm_instructions_total"); got != a.VMStats.Instructions {
-		t.Errorf("vm instructions = %d, want Stats %d", got, a.VMStats.Instructions)
+	if got := counter("wsd_vm_instructions_total"); got != 2*a.VMStats.Instructions {
+		t.Errorf("vm instructions = %d, want 2 × Stats %d", got, a.VMStats.Instructions)
 	}
-	if got := counter("wsd_vm_branches_total"); got != a.VMStats.CondBranches {
-		t.Errorf("vm branches = %d, want Stats %d", got, a.VMStats.CondBranches)
+	if got := counter("wsd_vm_branches_total"); got != 2*a.VMStats.CondBranches {
+		t.Errorf("vm branches = %d, want 2 × Stats %d", got, a.VMStats.CondBranches)
 	}
-	if got := counter("wsd_vm_taken_total"); got != a.VMStats.Taken {
-		t.Errorf("vm taken = %d, want Stats %d", got, a.VMStats.Taken)
+	if got := counter("wsd_vm_taken_total"); got != 2*a.VMStats.Taken {
+		t.Errorf("vm taken = %d, want 2 × Stats %d", got, a.VMStats.Taken)
 	}
 
 	if got := counter("wsd_profile_events_total"); got != a.Filter.DynamicKept {
@@ -89,7 +90,7 @@ func TestRecordModeCountersExact(t *testing.T) {
 func TestShardedCountersMatchSerial(t *testing.T) {
 	run := func(shards int) *obs.Registry {
 		reg := metricsRegistry()
-		s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: shards, Fused: false, Metrics: obs.New(reg)})
+		s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: shards, Metrics: obs.New(reg)})
 		if _, err := s.Artifacts("li", workload.InputRef); err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func TestShardedCountersMatchSerial(t *testing.T) {
 // × per-row branches, and hits + mispredicts must partition it.
 func TestFigurePredictFlushExact(t *testing.T) {
 	reg := metricsRegistry()
-	s := NewSuite(Config{Scale: 0.02, Workers: 1, ProfileShards: 1, Fused: true, Metrics: obs.New(reg)})
+	s := NewSuite(Config{Scale: 0.02, Workers: 1, ProfileShards: 1, Metrics: obs.New(reg)})
 	res, err := s.Figure3()
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +147,7 @@ func TestFigurePredictFlushExact(t *testing.T) {
 // benchmarks it touched.
 func TestStageSpansRecorded(t *testing.T) {
 	reg := metricsRegistry()
-	s := NewSuite(Config{Scale: 0.02, Workers: 1, ProfileShards: 1, Fused: true, Metrics: obs.New(reg)})
+	s := NewSuite(Config{Scale: 0.02, Workers: 1, ProfileShards: 1, Metrics: obs.New(reg)})
 	if _, err := s.Table2(); err != nil {
 		t.Fatal(err)
 	}
@@ -188,56 +189,44 @@ func stageCount(reg *obs.Registry, benchmark, stage string) uint64 {
 // TestStagedArtifactCosts pins what each artifact stage costs. Table 1
 // reads only the count stage: one execution per benchmark and no
 // profile. Table 2 then builds its profiles on the cached count stages
-// without re-running them — one filtered execution each in fused mode,
-// none in record mode, which replays the retained trace.
+// without re-running them: one filtered execution each.
 func TestStagedArtifactCosts(t *testing.T) {
 	names := workload.Names()
-	for _, tc := range []struct {
-		name            string
-		fused           bool
-		runsAfterTable2 uint64
-	}{
-		{"fused", true, uint64(len(names) + len(Table2Benchmarks))},
-		{"record", false, uint64(len(names))},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			reg := metricsRegistry()
-			s := NewSuite(Config{Scale: 0.05, Workers: 2, Fused: tc.fused, Metrics: obs.New(reg)})
-			counter := func(name string) uint64 { return reg.Counter(name).Value() }
+	reg := metricsRegistry()
+	s := NewSuite(Config{Scale: 0.05, Workers: 2, Metrics: obs.New(reg)})
+	counter := func(name string) uint64 { return reg.Counter(name).Value() }
 
-			if _, err := s.Table1(); err != nil {
-				t.Fatal(err)
-			}
-			if got := counter("wsd_vm_runs_total"); got != uint64(len(names)) {
-				t.Errorf("vm runs after Table 1 = %d, want %d (one per benchmark)", got, len(names))
-			}
-			if got := counter("wsd_profile_events_total"); got != 0 {
-				t.Errorf("profile events after Table 1 = %d, want 0", got)
-			}
-			for _, name := range names {
-				a, ok := s.Cached(name, workload.InputRef)
-				switch {
-				case !ok:
-					t.Errorf("%s: not cached after Table 1", name)
-				case a.Profile != nil:
-					t.Errorf("%s: Table 1 built a profile", name)
-				case a.VMStats.CondBranches == 0:
-					t.Errorf("%s: cached count stage has no VM stats", name)
-				}
-			}
+	if _, err := s.Table1(); err != nil {
+		t.Fatal(err)
+	}
+	if got := counter("wsd_vm_runs_total"); got != uint64(len(names)) {
+		t.Errorf("vm runs after Table 1 = %d, want %d (one per benchmark)", got, len(names))
+	}
+	if got := counter("wsd_profile_events_total"); got != 0 {
+		t.Errorf("profile events after Table 1 = %d, want 0", got)
+	}
+	for _, name := range names {
+		a, ok := s.Cached(name, workload.InputRef)
+		switch {
+		case !ok:
+			t.Errorf("%s: not cached after Table 1", name)
+		case a.Profile != nil:
+			t.Errorf("%s: Table 1 built a profile", name)
+		case a.VMStats.CondBranches == 0:
+			t.Errorf("%s: cached count stage has no VM stats", name)
+		}
+	}
 
-			if _, err := s.Table2(); err != nil {
-				t.Fatal(err)
-			}
-			if got := counter("wsd_vm_runs_total"); got != tc.runsAfterTable2 {
-				t.Errorf("vm runs after Table 2 = %d, want %d", got, tc.runsAfterTable2)
-			}
-			if got := stageCount(reg, "li", "execute"); got != 1 {
-				t.Errorf("li count stage ran %d times, want 1", got)
-			}
-			if counter("wsd_profile_events_total") == 0 {
-				t.Error("Table 2 profiled no events")
-			}
-		})
+	if _, err := s.Table2(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := counter("wsd_vm_runs_total"), uint64(len(names)+len(Table2Benchmarks)); got != want {
+		t.Errorf("vm runs after Table 2 = %d, want %d", got, want)
+	}
+	if got := stageCount(reg, "li", "execute"); got != 1 {
+		t.Errorf("li count stage ran %d times, want 1", got)
+	}
+	if counter("wsd_profile_events_total") == 0 {
+		t.Error("Table 2 profiled no events")
 	}
 }

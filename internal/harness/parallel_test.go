@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/profile"
 	"repro/internal/workload"
 )
 
@@ -66,54 +67,66 @@ func TestMapOrderedParallelReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
-// TestFusedArtifactsMatchRecorded checks the fused streaming pipeline
-// produces the same filter statistics and interleave profile as
-// record-then-replay, while retaining no trace memory.
-func TestFusedArtifactsMatchRecorded(t *testing.T) {
-	rec := NewSuite(Config{Scale: 0.05})
-	fus := NewSuite(Config{Scale: 0.05, Fused: true})
-
-	ar, err := rec.Artifacts("li", workload.InputRef)
+// recordReplayOracle rebuilds one benchmark's profile-stage artifacts
+// the way the paper's trace-driven methodology does: record the full
+// trace, filter it by coverage, and replay the kept events into a
+// serial profiler with the suite's window.
+func recordReplayOracle(t *testing.T, s *Suite, benchmark string, input workload.InputSet) *Artifacts {
+	t.Helper()
+	spec, err := workload.ByName(benchmark)
 	if err != nil {
 		t.Fatal(err)
 	}
-	af, err := fus.Artifacts("li", workload.InputRef)
+	tr, stats, err := spec.Run(workload.RunConfig{Input: input, Scale: s.Config().Scale})
 	if err != nil {
 		t.Fatal(err)
 	}
+	filter := tr.FilterByCoverage(spec.AnalyzeCoverage)
+	prof := profile.NewProfiler(spec.Name, input.Name, profile.WithWindow(s.profileWindow(spec)))
+	filter.Kept.Replay(prof)
+	prof.SetInstructions(stats.Instructions)
+	return &Artifacts{Spec: spec, Input: input, VMStats: stats, Filter: filter, Profile: prof.Profile()}
+}
 
-	if af.Trace != nil || af.Filter.Kept != nil {
-		t.Fatal("fused artifacts retain a trace")
-	}
-	if ar.Trace == nil {
-		t.Fatal("recorded artifacts lost their trace")
-	}
-	if rec.RetainedTraceBytes() == 0 {
-		t.Fatal("record mode reports no retained trace memory")
-	}
-	if fus.RetainedTraceBytes() != 0 {
-		t.Fatalf("fused mode retains %d trace bytes", fus.RetainedTraceBytes())
-	}
+// TestArtifactsMatchRecordReplayOracle checks the streamed pipeline —
+// a counting execution, then a filtered re-execution into a sharded
+// profiler — against record-then-replay: the same VM statistics, filter
+// counts and interleave profile.
+func TestArtifactsMatchRecordReplayOracle(t *testing.T) {
+	s := NewSuite(Config{Scale: 0.05})
+	for _, tc := range []struct {
+		benchmark string
+		input     workload.InputSet
+	}{
+		{"li", workload.InputRef},
+		{"perl", workload.InputA},
+	} {
+		got, err := s.Artifacts(tc.benchmark, tc.input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := recordReplayOracle(t, s, tc.benchmark, tc.input)
+		name := tc.benchmark + "/" + tc.input.Name
 
-	if ar.VMStats != af.VMStats {
-		t.Fatalf("VM stats differ: %+v vs %+v", ar.VMStats, af.VMStats)
-	}
-	fr, ff := ar.Filter, af.Filter
-	if fr.StaticKept != ff.StaticKept || fr.StaticTotal != ff.StaticTotal ||
-		fr.DynamicKept != ff.DynamicKept || fr.DynamicTotal != ff.DynamicTotal {
-		t.Fatalf("filters differ: %+v vs %+v", fr, ff)
-	}
-
-	pr, pf := ar.Profile, af.Profile
-	if !reflect.DeepEqual(pr.PCs, pf.PCs) || !reflect.DeepEqual(pr.Exec, pf.Exec) ||
-		!reflect.DeepEqual(pr.Taken, pf.Taken) {
-		t.Fatal("per-branch profile vectors differ between record and fused")
-	}
-	if pr.Instructions != pf.Instructions {
-		t.Fatalf("instructions %d vs %d", pr.Instructions, pf.Instructions)
-	}
-	if !reflect.DeepEqual(pr.Pairs, pf.Pairs) {
-		t.Fatal("interleave pair counts differ between record and fused")
+		if got.VMStats != want.VMStats {
+			t.Errorf("%s: VM stats %+v, oracle %+v", name, got.VMStats, want.VMStats)
+		}
+		fg, fw := got.Filter, want.Filter
+		if fg.StaticKept != fw.StaticKept || fg.StaticTotal != fw.StaticTotal ||
+			fg.DynamicKept != fw.DynamicKept || fg.DynamicTotal != fw.DynamicTotal {
+			t.Errorf("%s: filter %+v, oracle %+v", name, fg, fw)
+		}
+		pg, pw := got.Profile, want.Profile
+		if !reflect.DeepEqual(pg.PCs, pw.PCs) || !reflect.DeepEqual(pg.Exec, pw.Exec) ||
+			!reflect.DeepEqual(pg.Taken, pw.Taken) {
+			t.Errorf("%s: per-branch profile vectors differ from the oracle", name)
+		}
+		if pg.Instructions != pw.Instructions {
+			t.Errorf("%s: instructions %d, oracle %d", name, pg.Instructions, pw.Instructions)
+		}
+		if !reflect.DeepEqual(pg.Pairs, pw.Pairs) {
+			t.Errorf("%s: interleave pair counts differ from the oracle", name)
+		}
 	}
 }
 
@@ -143,29 +156,29 @@ func renderEverything(t *testing.T, cfg Config, table1First bool) string {
 	return b.String()
 }
 
-// TestParallelFusedOutputByteIdentical is the harness's headline
-// determinism guarantee: the full rendered output — every table,
-// figure, ablation and extended experiment — is byte-identical between
-// the serial record-then-replay pipeline and the parallel fused
-// streaming pipeline (with the artifact verifiers enabled), and in both
-// modes between a fresh suite and one that rendered Table 1 alone
-// first. Run under -race in CI, it also shakes out data races in the
-// worker pool.
-func TestParallelFusedOutputByteIdentical(t *testing.T) {
+// TestOutputMatchesGolden is the harness's headline determinism
+// guarantee: the full rendered output — every table, figure, ablation
+// and extended experiment — matches testdata/everything.golden, which
+// was rendered by the record-then-replay pipeline. It holds serially,
+// in parallel with the artifact verifiers enabled, and for both after
+// the suite rendered Table 1 alone first. Run under -race in CI, it also
+// shakes out data races in the worker pool.
+func TestOutputMatchesGolden(t *testing.T) {
 	serialCfg := Config{Scale: 0.05, Workers: 1}
-	parallelCfg := Config{Scale: 0.05, Workers: 4, Fused: true, Check: true}
+	parallelCfg := Config{Scale: 0.05, Workers: 4, Check: true}
 	serial := renderEverything(t, serialCfg, false)
+	checkHarnessGolden(t, "everything.golden", serial)
 	for _, run := range []struct {
 		name        string
 		cfg         Config
 		table1First bool
 	}{
-		{"parallel fused", parallelCfg, false},
-		{"serial record after Table 1", serialCfg, true},
-		{"parallel fused after Table 1", parallelCfg, true},
+		{"parallel", parallelCfg, false},
+		{"serial after Table 1", serialCfg, true},
+		{"parallel after Table 1", parallelCfg, true},
 	} {
 		if got := renderEverything(t, run.cfg, run.table1First); got != serial {
-			t.Fatalf("output differs between serial/record and %s:\n--- serial ---\n%s\n--- %s ---\n%s",
+			t.Errorf("%s output differs from the serial render:\n--- serial ---\n%s\n--- %s ---\n%s",
 				run.name, serial, run.name, got)
 		}
 	}

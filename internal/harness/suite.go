@@ -12,10 +12,10 @@
 // a worker pool (Config.Workers) computes per-benchmark artifacts and
 // per-row experiment results concurrently, while every table and figure
 // is assembled in fixed benchmark order — rendered output is
-// byte-identical for any worker count. Config.Fused additionally
-// replaces the record-then-replay flow with streamed execution: the VM's
-// branch stream fans out directly to the analysis consumers and no full
-// trace is retained (see DESIGN.md §10).
+// byte-identical for any worker count. Execution is streamed: the VM's
+// branch stream fans out directly to the analysis consumers, and a
+// consumer that needs the stream again re-executes the deterministic VM
+// instead of replaying a retained trace (see DESIGN.md §10).
 package harness
 
 import (
@@ -78,12 +78,7 @@ type Config struct {
 	// serial code paths. Output is byte-identical for any value
 	// (DESIGN.md §11).
 	ProfileShards int
-	// Fused streams each benchmark's branch stream straight into the
-	// analysis consumers in fused execution passes instead of recording
-	// a full trace and replaying it: Artifacts.Trace and Filter.Kept
-	// stay nil and peak memory drops from O(dynamic branches) to
-	// O(static branches) per benchmark. Experiment results are
-	// identical either way (the VM is deterministic).
+	// Deprecated: ignored; execution is always streamed.
 	Fused bool
 	// Progress, when non-nil, receives one line per completed step.
 	// Lines from concurrent workers may interleave, but each line is
@@ -154,17 +149,15 @@ type Artifacts struct {
 	Spec    workload.Spec
 	Input   workload.InputSet
 	VMStats vm.Stats
-	// Trace is the full recorded trace; nil in fused mode.
-	Trace *trace.Trace
-	// Filter is the frequency filter at the spec's coverage. In fused
-	// mode its counts are populated but Filter.Kept is nil — the
-	// filtered stream is regenerated on demand (see Suite.replayFiltered).
+	// Filter is the frequency filter at the spec's coverage. Its counts
+	// are populated but Filter.Kept is nil: the filtered stream is
+	// regenerated on demand (see Suite.replayFiltered).
 	Filter trace.FilterResult
 	// Profile is the interleave profile of the filtered stream; nil in
 	// count-stage artifacts.
 	Profile *profile.Profile
-	// keep is the analyzed static branch set (fused mode only); it
-	// reproduces the filtered stream from a re-execution.
+	// keep is the analyzed static branch set; it reproduces the
+	// filtered stream from a re-execution.
 	keep map[uint64]struct{}
 }
 
@@ -205,10 +198,9 @@ func artifactsKey(benchmark string, input workload.InputSet) string {
 }
 
 // Counts runs (or returns the cached run of) one benchmark's count
-// stage under one input set: a single execution — recorded, or streamed
-// into a frequency counter when Config.Fused is set — and the frequency
-// filter. The returned artifacts have no Profile; that is all Table 1
-// and the full-stream replays need.
+// stage under one input set: a single execution streamed into a
+// frequency counter, and the frequency filter. The returned artifacts
+// have no Profile; that is all Table 1 and the full-stream replays need.
 func (s *Suite) Counts(benchmark string, input workload.InputSet) (*Artifacts, error) {
 	return s.counts.do(artifactsKey(benchmark, input), func() (*Artifacts, error) {
 		return s.computeCounts(benchmark, input)
@@ -243,70 +235,40 @@ func (s *Suite) computeCounts(benchmark string, input workload.InputSet) (*Artif
 			return nil, err
 		}
 	}
-	a := &Artifacts{Spec: spec, Input: input}
-	if s.cfg.Fused {
-		err = s.countFused(a)
-	} else {
-		err = s.countRecord(a)
-	}
+	s.progressf("run %s (input %s, scale %.2f)", spec.Name, input.Name, s.cfg.Scale)
+	execSpan := s.stageSpan(spec.Name, "execute")
+	var freq trace.FreqCounter
+	stats, err := spec.RunInto(s.runConfig(input), &freq)
+	execSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("harness: running %s: %w", spec.Name, err)
 	}
-	return a, nil
-}
-
-// countRecord executes once into a recorder and filters the trace,
-// retaining both in a.
-func (s *Suite) countRecord(a *Artifacts) error {
-	s.progressf("run %s (input %s, scale %.2f)", a.Spec.Name, a.Input.Name, s.cfg.Scale)
-	execSpan := s.stageSpan(a.Spec.Name, "execute")
-	tr, stats, err := a.Spec.Run(s.runConfig(a.Input))
-	execSpan.End()
-	if err != nil {
-		return err
-	}
-	a.Trace, a.VMStats = tr, stats
-	a.Filter = tr.FilterByCoverage(a.Spec.AnalyzeCoverage)
-	return nil
-}
-
-// countFused executes once into a frequency counter and derives the
-// same keep set the recorded filter would select. No event buffer is
-// ever materialized.
-func (s *Suite) countFused(a *Artifacts) error {
-	s.progressf("run %s (fused pre-count, input %s, scale %.2f)", a.Spec.Name, a.Input.Name, s.cfg.Scale)
-	execSpan := s.stageSpan(a.Spec.Name, "execute")
-	var freq trace.FreqCounter
-	stats, err := a.Spec.RunInto(s.runConfig(a.Input), &freq)
-	execSpan.End()
-	if err != nil {
-		return err
-	}
+	// The keep set is the one the frequency filter would select from a
+	// recorded trace; no event buffer is ever materialized.
 	dynTotal, staticTotal := freq.Total()
-	keep, dynKept := trace.SelectByCoverage(freq.Stats(), a.Spec.AnalyzeCoverage)
-	a.VMStats, a.keep = stats, keep
-	a.Filter = trace.FilterResult{
-		StaticKept:   len(keep),
-		StaticTotal:  staticTotal,
-		DynamicKept:  dynKept,
-		DynamicTotal: dynTotal,
-	}
-	return nil
+	keep, dynKept := trace.SelectByCoverage(freq.Stats(), spec.AnalyzeCoverage)
+	return &Artifacts{
+		Spec:    spec,
+		Input:   input,
+		VMStats: stats,
+		Filter: trace.FilterResult{
+			StaticKept:   len(keep),
+			StaticTotal:  staticTotal,
+			DynamicKept:  dynKept,
+			DynamicTotal: dynTotal,
+		},
+		keep: keep,
+	}, nil
 }
 
 // computeProfile builds the profile stage on a finished count stage c:
-// it replays c's filtered stream — the recorded filtered trace, or in
-// fused mode a second execution through c's keep set — into the
+// a second execution, filtered through c's keep set, streams into the
 // profiler. c is shared by every reader of the count stage, so the
 // profile goes into a copy.
 func (s *Suite) computeProfile(c *Artifacts) (*Artifacts, error) {
 	window := s.profileWindow(c.Spec)
-	mode := ""
-	if s.cfg.Fused {
-		mode = " (fused)"
-	}
-	s.progressf("profile %s%s: %d dynamic branches (%d static, %.2f%% analyzed, window %d)",
-		c.Spec.Name, mode, c.Filter.DynamicKept, c.Filter.StaticKept, 100*c.Filter.Coverage(), window)
+	s.progressf("profile %s: %d dynamic branches (%d static, %.2f%% analyzed, window %d)",
+		c.Spec.Name, c.Filter.DynamicKept, c.Filter.StaticKept, 100*c.Filter.Coverage(), window)
 	profSpan := s.stageSpan(c.Spec.Name, "profile")
 	defer profSpan.End()
 	prof := profile.NewProfiler(c.Spec.Name, c.Input.Name,
@@ -345,27 +307,18 @@ func (s *Suite) runConfig(input workload.InputSet) workload.RunConfig {
 	return workload.RunConfig{Input: input, Scale: s.cfg.Scale, Metrics: s.cfg.Metrics.VM()}
 }
 
-// replayFull drives the benchmark's complete branch stream into sink:
-// from the recorded trace when one is retained, or by re-executing the
-// deterministic VM in fused mode. Both deliver the identical stream.
+// replayFull drives the benchmark's complete branch stream into sink by
+// re-executing the deterministic VM.
 func (s *Suite) replayFull(a *Artifacts, sink vm.BranchSink) error {
-	if a.Trace != nil {
-		a.Trace.Replay(sink)
-		return nil
-	}
 	if _, err := a.Spec.RunInto(s.runConfig(a.Input), sink); err != nil {
 		return fmt.Errorf("harness: replaying %s: %w", a.Spec.Name, err)
 	}
 	return nil
 }
 
-// replayFiltered drives the frequency-filtered stream into sink — the
-// recorded filtered trace, or a filtered re-execution in fused mode.
+// replayFiltered drives the frequency-filtered stream into sink: a
+// re-execution whose stream passes through the count stage's keep set.
 func (s *Suite) replayFiltered(a *Artifacts, sink vm.BranchSink) error {
-	if a.Filter.Kept != nil {
-		a.Filter.Kept.Replay(sink)
-		return nil
-	}
 	if _, err := a.Spec.RunInto(s.runConfig(a.Input), trace.NewFilterSink(a.keep, sink)); err != nil {
 		return fmt.Errorf("harness: replaying %s (filtered): %w", a.Spec.Name, err)
 	}
@@ -383,29 +336,6 @@ func (s *Suite) Cached(benchmark string, input workload.InputSet) (*Artifacts, b
 		return a, true
 	}
 	return s.counts.peek(key)
-}
-
-// Drop evicts a benchmark's cached artifacts, both stages, freeing its
-// trace memory.
-func (s *Suite) Drop(benchmark string, input workload.InputSet) {
-	key := artifactsKey(benchmark, input)
-	s.profiles.forget(key)
-	s.counts.forget(key)
-}
-
-// RetainedTraceBytes reports the event memory held by cached full
-// traces — the residency fused mode eliminates (it always reports 0
-// there). In-flight computations are not counted. A profile stage
-// shares its count stage's trace, so only count stages are summed.
-func (s *Suite) RetainedTraceBytes() uint64 {
-	const eventBytes = 24 // sizeof(trace.Event): two uint64 + padded bool
-	var total uint64
-	s.counts.each(func(a *Artifacts) {
-		if a.Trace != nil {
-			total += uint64(cap(a.Trace.Events)) * eventBytes
-		}
-	})
-	return total
 }
 
 // Table2Benchmarks is the paper's Table 2 row set (gs and tex appear

@@ -1,6 +1,6 @@
 package trace
 
-// This file holds the streaming (fused single-pass) counterparts of the
+// This file holds the streaming (single-pass) counterparts of the
 // recorded-trace operations: a frequency pre-counter that computes the
 // per-branch statistics FilterByCoverage needs without retaining events,
 // a keep-set filter sink that narrows a live stream to the analyzed
@@ -18,7 +18,7 @@ type Sink interface {
 }
 
 // FreqCounter accumulates per-static-branch execution counts from a
-// live stream — the frequency pre-count pass of fused execution. Its
+// live stream — the count pass of streamed execution. Its
 // memory is O(static branches), against O(dynamic branches) for a
 // recorded trace. The zero value is ready to use.
 //
@@ -120,7 +120,7 @@ func (f *FreqCounter) Total() (dynamic uint64, static int) {
 // streaming form of FilterResult.Kept.Replay. Feeding a live run
 // through a FilterSink whose keep set came from SelectByCoverage
 // delivers exactly the event subsequence a recorded filter would, so
-// fused and record-then-replay profiling agree event for event.
+// streamed and record-then-replay profiling agree event for event.
 //
 // Construct with NewFilterSink for the flat-bitset membership test;
 // a literal FilterSink{Keep: ..., Sink: ...} still works but tests
@@ -181,7 +181,7 @@ func (f FilterSink) branchSlow(pc uint64, taken bool, icount uint64) {
 }
 
 // Ring retains the most recent events of a stream in a fixed-size
-// buffer. It is the fused-mode answer to trace dumps: where the
+// buffer. It is the streaming answer to trace dumps: where the
 // recording path can save a full trace, a streaming run attaches a Ring
 // and keeps only the bounded tail (e.g. for branchsim's -tail output).
 type Ring struct {

@@ -44,7 +44,7 @@ func TestFreqCounterTieBreakByPC(t *testing.T) {
 
 // TestSelectByCoverageMatchesFilter checks that the streaming keep-set
 // selection and the recorded filter agree on exactly which branches are
-// analyzed — the property that makes fused profiling equal
+// analyzed — the property that makes streamed profiling equal
 // record-then-replay profiling.
 func TestSelectByCoverageMatchesFilter(t *testing.T) {
 	var events []Event
@@ -72,7 +72,7 @@ func TestSelectByCoverageMatchesFilter(t *testing.T) {
 	}
 }
 
-// TestFilterSinkMatchesFilteredReplay checks the fused filtered stream
+// TestFilterSinkMatchesFilteredReplay checks the streamed filtered stream
 // is the identical event subsequence the recorded filter replays.
 func TestFilterSinkMatchesFilteredReplay(t *testing.T) {
 	tr := makeTrace(
@@ -85,12 +85,12 @@ func TestFilterSinkMatchesFilteredReplay(t *testing.T) {
 	res := tr.FilterByCoverage(0.8) // keeps PC 4 only (3 of 5 dynamic)
 	keep, _ := SelectByCoverage(tr.Stats(), 0.8)
 
-	var recorded, fused collectSink
+	var recorded, streamed collectSink
 	res.Kept.Replay(&recorded)
-	streamOf(tr, FilterSink{Keep: keep, Sink: &fused})
+	streamOf(tr, FilterSink{Keep: keep, Sink: &streamed})
 
-	if !reflect.DeepEqual(recorded.events, fused.events) {
-		t.Fatalf("filtered streams differ:\nrecorded %+v\nfused    %+v", recorded.events, fused.events)
+	if !reflect.DeepEqual(recorded.events, streamed.events) {
+		t.Fatalf("filtered streams differ:\nrecorded %+v\nstreamed %+v", recorded.events, streamed.events)
 	}
 }
 

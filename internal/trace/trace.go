@@ -167,7 +167,7 @@ func (t *Trace) FilterByCoverage(coverage float64) FilterResult {
 // retain from frequency-ordered statistics (as Stats and FreqCounter
 // produce them) and returns the keep set with its covered dynamic
 // count. It is the selection step alone, shared by the recorded-trace
-// filter and the fused streaming path, which must agree exactly.
+// filter and the streaming path, which must agree exactly.
 func SelectByCoverage(stats []BranchStat, coverage float64) (keep map[uint64]struct{}, dynKept uint64) {
 	var total uint64
 	for _, s := range stats {
