@@ -192,41 +192,45 @@ func stageCount(reg *obs.Registry, benchmark, stage string) uint64 {
 // without re-running them: one filtered execution each.
 func TestStagedArtifactCosts(t *testing.T) {
 	names := workload.Names()
-	reg := metricsRegistry()
-	s := NewSuite(Config{Scale: 0.05, Workers: 2, Metrics: obs.New(reg)})
-	counter := func(name string) uint64 { return reg.Counter(name).Value() }
+	// The streamed (fused) pipeline is the only execution mode; the
+	// subtest keeps its name from when record mode was a second row.
+	t.Run("fused", func(t *testing.T) {
+		reg := metricsRegistry()
+		s := NewSuite(Config{Scale: 0.05, Workers: 2, Metrics: obs.New(reg)})
+		counter := func(name string) uint64 { return reg.Counter(name).Value() }
 
-	if _, err := s.Table1(); err != nil {
-		t.Fatal(err)
-	}
-	if got := counter("wsd_vm_runs_total"); got != uint64(len(names)) {
-		t.Errorf("vm runs after Table 1 = %d, want %d (one per benchmark)", got, len(names))
-	}
-	if got := counter("wsd_profile_events_total"); got != 0 {
-		t.Errorf("profile events after Table 1 = %d, want 0", got)
-	}
-	for _, name := range names {
-		a, ok := s.Cached(name, workload.InputRef)
-		switch {
-		case !ok:
-			t.Errorf("%s: not cached after Table 1", name)
-		case a.Profile != nil:
-			t.Errorf("%s: Table 1 built a profile", name)
-		case a.VMStats.CondBranches == 0:
-			t.Errorf("%s: cached count stage has no VM stats", name)
+		if _, err := s.Table1(); err != nil {
+			t.Fatal(err)
 		}
-	}
+		if got := counter("wsd_vm_runs_total"); got != uint64(len(names)) {
+			t.Errorf("vm runs after Table 1 = %d, want %d (one per benchmark)", got, len(names))
+		}
+		if got := counter("wsd_profile_events_total"); got != 0 {
+			t.Errorf("profile events after Table 1 = %d, want 0", got)
+		}
+		for _, name := range names {
+			a, ok := s.Cached(name, workload.InputRef)
+			switch {
+			case !ok:
+				t.Errorf("%s: not cached after Table 1", name)
+			case a.Profile != nil:
+				t.Errorf("%s: Table 1 built a profile", name)
+			case a.VMStats.CondBranches == 0:
+				t.Errorf("%s: cached count stage has no VM stats", name)
+			}
+		}
 
-	if _, err := s.Table2(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := counter("wsd_vm_runs_total"), uint64(len(names)+len(Table2Benchmarks)); got != want {
-		t.Errorf("vm runs after Table 2 = %d, want %d", got, want)
-	}
-	if got := stageCount(reg, "li", "execute"); got != 1 {
-		t.Errorf("li count stage ran %d times, want 1", got)
-	}
-	if counter("wsd_profile_events_total") == 0 {
-		t.Error("Table 2 profiled no events")
-	}
+		if _, err := s.Table2(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := counter("wsd_vm_runs_total"), uint64(len(names)+len(Table2Benchmarks)); got != want {
+			t.Errorf("vm runs after Table 2 = %d, want %d", got, want)
+		}
+		if got := stageCount(reg, "li", "execute"); got != 1 {
+			t.Errorf("li count stage ran %d times, want 1", got)
+		}
+		if counter("wsd_profile_events_total") == 0 {
+			t.Error("Table 2 profiled no events")
+		}
+	})
 }
