@@ -80,10 +80,10 @@ type ShardPoint struct {
 	ProfileMBranchesPerS float64 `json:"profile_mbranches_per_s"`
 	// ShardTableBytes is the sharding-only overhead (staging batches
 	// and partition headers) — the memory the sharded mode costs on
-	// top of the counters themselves; 0 at P=1.
+	// top of the neighbor rows themselves; 0 at P=1.
 	ShardTableBytes uint64 `json:"shard_table_bytes"`
-	// TableBytes is the absolute footprint of the interleave counter
-	// tables in either mode.
+	// TableBytes is the absolute footprint of the dense per-branch
+	// interleave rows (4 bytes per cell) in either mode.
 	TableBytes uint64 `json:"table_bytes"`
 }
 

@@ -3,7 +3,11 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // decodePairs turns an arbitrary byte string into a node count and a
@@ -174,4 +178,99 @@ func FuzzColoring(f *testing.F) {
 			}
 		}
 	})
+}
+
+// decodeRows turns an arbitrary byte string into a node count and a set
+// of directed count rows for FromRows. The first byte picks n; each row
+// then takes a length byte (up to n+2, so rows run short of n, exactly
+// to it, and past it) and one byte per cell. Most cell bytes decode to
+// small counts, zero included; a set high bit scales the cell toward
+// the top of the uint32 range. There may be one row more than n.
+func decodeRows(data []byte) (n int, rows [][]uint32) {
+	if len(data) == 0 {
+		return 1, nil
+	}
+	n = 1 + int(data[0])%40
+	data = data[1:]
+	for len(data) > 0 && len(rows) <= n {
+		k := min(int(data[0])%(n+3), len(data)-1)
+		row := make([]uint32, k)
+		for i, b := range data[1 : 1+k] {
+			row[i] = uint32(b & 0x7f % 5)
+			if b&0x80 != 0 {
+				row[i] = math.MaxUint32 - uint32(b&0x7f)
+			}
+		}
+		rows = append(rows, row)
+		data = data[1+k:]
+	}
+	return n, rows
+}
+
+// rowPairs lists the halves held by directed count rows as a pair list,
+// one pair {u, v, rows[u][v]} per cell: the input FromPairs is given to
+// serve as FromRows's oracle. Zero, diagonal and out-of-range cells go
+// in as they are; FromPairs is specified to drop them.
+func rowPairs(rows [][]uint32) []Pair {
+	var pairs []Pair
+	for u, row := range rows {
+		for v, c := range row {
+			pairs = append(pairs, Pair{U: int32(u), V: int32(v), W: uint64(c)})
+		}
+	}
+	return pairs
+}
+
+// checkFromRows fails unless FromRows(n, rows) is exactly FromPairs over
+// the same halves: the same off, nbr and wt arrays, each sized exactly.
+func checkFromRows(t *testing.T, n int, rows [][]uint32) {
+	t.Helper()
+	got, want := FromRows(n, rows), FromPairs(n, rowPairs(rows))
+	if !slices.Equal(got.off, want.off) || !slices.Equal(got.nbr, want.nbr) || !slices.Equal(got.wt, want.wt) {
+		t.Fatalf("n=%d: FromRows gives %v, FromPairs %v\noff %v / %v\nnbr %v / %v\nwt %v / %v",
+			n, got, want, got.off, want.off, got.nbr, want.nbr, got.wt, want.wt)
+	}
+	if cap(got.off) != len(got.off) || cap(got.nbr) != len(got.nbr) || cap(got.wt) != len(got.wt) {
+		t.Fatalf("n=%d: backing arrays not exactly sized", n)
+	}
+}
+
+// FuzzFromRows differentially fuzzes the dense-row CSR builder against
+// FromPairs, its specification: every decoded set of rows — short rows,
+// rows past n, diagonal and zero cells, near-overflow halves — must
+// build exactly the graph FromPairs builds from the same halves.
+func FuzzFromRows(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 3, 0, 1, 2, 2, 4, 0, 0, 1})
+	f.Add([]byte{5, 7, 1, 1, 1, 1, 1, 1, 1, 0, 3, 0x81, 0, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, rows := decodeRows(data)
+		checkFromRows(t, n, rows)
+	})
+}
+
+// TestFromRowsMatchesFromPairs runs the FromRows oracle over seeded
+// random rows of every shape the profiler produces and more: nil and
+// short rows, rows longer than n, a row per node or fewer, diagonal
+// cells, and densities from sparse to full.
+func TestFromRowsMatchesFromPairs(t *testing.T) {
+	r := rng.New(505)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(60)
+		rows := make([][]uint32, r.Intn(n+2))
+		density := r.Intn(101)
+		for u := range rows {
+			if r.Intn(8) == 0 {
+				continue // nil row
+			}
+			rows[u] = make([]uint32, r.Intn(n+3))
+			for v := range rows[u] {
+				if r.Intn(100) < density {
+					rows[u][v] = uint32(1 + r.Intn(1000))
+				}
+			}
+		}
+		checkFromRows(t, n, rows)
+	}
+	checkFromRows(t, 3, [][]uint32{{0, math.MaxUint32, 1}, {math.MaxUint32, 0}, {7}})
 }

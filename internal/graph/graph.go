@@ -21,8 +21,8 @@ import (
 // weight, no row holds its own node, and every stored weight is
 // nonzero. The backing arrays are sized exactly.
 //
-// FromPairs builds a graph from raw weighted pairs; Filter derives a
-// subgraph. Nothing mutates a graph after construction, so graphs and
+// FromPairs builds a graph from raw weighted pairs and FromRows from
+// directed count rows; Filter derives a subgraph. Nothing mutates a graph after construction, so graphs and
 // the row slices Neighbors returns may be shared freely.
 type Graph struct {
 	off []int
@@ -37,8 +37,8 @@ type Pair struct {
 }
 
 // newGraph allocates a graph whose row u has room for exactly deg[u]
-// entries. It is the package's only Graph constructor; FromPairs and
-// Filter fill the rows it returns.
+// entries. It is the package's only Graph constructor; FromPairs,
+// FromRows and Filter fill the rows it returns.
 func newGraph(deg []int) *Graph {
 	off := make([]int, len(deg)+1)
 	for u, d := range deg {
@@ -124,6 +124,149 @@ func FromPairs(n int, pairs []Pair) *Graph {
 		return g.Filter(1, nil)
 	}
 	return g
+}
+
+// FromRows builds a graph over n nodes from directed count rows:
+// rows[u][v] is u's half of the weight of edge {u, v}, and the edge
+// weighs rows[u][v] + rows[v][u]. A row may be nil or shorter than n;
+// cells at v >= n, rows at u >= n, diagonal cells and zero cells are
+// ignored. The result equals FromPairs over the same halves, one pair
+// {u, v, rows[u][v]} per nonzero cell, without building that pair list.
+//
+// Every step is a linear pass that keeps its output sorted. Each row is
+// compacted in one pass, ascending by construction; the compacted rows
+// are transposed by counting sort, which leaves the transpose's rows
+// ascending too; and each row is merged with its transpose into the
+// exactly sized result. Only the compaction scans the dense rows (the
+// sizing step reads single cells), so the cost is one pass over the
+// cells plus linear work in the nonzero ones. Two uint32 halves cannot sum to zero in uint64, so every stored
+// weight is nonzero.
+func FromRows(n int, rows [][]uint32) *Graph {
+	rows = rows[:min(len(rows), n)]
+
+	// Compact: own[u] holds row u's nonzero off-diagonal cells,
+	// ascending. A row is compacted into scratch (the diagonal skipped
+	// by compacting the cells on either side of it) and copied out at
+	// its exact size.
+	own := make([][]half, n)
+	scratch := make([]half, n)
+	col := make([]int, n+1)
+	for u, r := range rows {
+		r = r[:min(len(r), n)]
+		k := compactRow(scratch, r[:min(u, len(r))], 0)
+		if u < len(r) {
+			k += compactRow(scratch[k:], r[u+1:], u+1)
+		}
+		own[u] = slices.Clone(scratch[:k])
+		for _, h := range own[u] {
+			col[h.v+1]++
+		}
+	}
+
+	// Transpose by counting sort: walking rows in ascending u appends u
+	// to each column's bucket in ascending order.
+	for c := 0; c < n; c++ {
+		col[c+1] += col[c]
+	}
+	trans := make([]half, col[n])
+	next := slices.Clone(col[:n])
+	for u, hs := range own {
+		for _, h := range hs {
+			trans[next[h.v]] = half{v: int32(u), w: h.w}
+			next[h.v]++
+		}
+	}
+
+	// Size: row u's partners are its own and its transpose's, less the
+	// mutual ones counted in both — those v in the transpose whose cell
+	// in u's dense row is nonzero too.
+	deg := next // reused: deg[u] is row u's merged length
+	for u := 0; u < n; u++ {
+		b := trans[col[u]:col[u+1]]
+		mutual := 0
+		if u < len(rows) {
+			r := rows[u]
+			for _, h := range b {
+				if int(h.v) >= len(r) {
+					break
+				}
+				mutual += nonzero(r[h.v])
+			}
+		}
+		deg[u] = len(own[u]) + len(b) - mutual
+	}
+
+	// Merge each row with its transpose, summing the halves of a mutual
+	// pair. The merge step is branch-free: it emits the smaller head and
+	// advances whichever side (or both) holds it.
+	g := newGraph(deg)
+	for u := 0; u < n; u++ {
+		a, b := own[u], trans[col[u]:col[u+1]]
+		nbr, wt := g.nbr[g.off[u]:g.off[u+1]], g.wt[g.off[u]:g.off[u+1]]
+		i, j, k := 0, 0, 0
+		for i < len(a) && j < len(b) {
+			x, y := a[i], b[j]
+			ta, tb := b2i(x.v <= y.v), b2i(y.v <= x.v)
+			nbr[k] = min(x.v, y.v)
+			wt[k] = uint64(x.w)*uint64(ta) + uint64(y.w)*uint64(tb)
+			i, j, k = i+ta, j+tb, k+1
+		}
+		for _, h := range a[i:] {
+			nbr[k], wt[k] = h.v, uint64(h.w)
+			k++
+		}
+		for _, h := range b[j:] {
+			nbr[k], wt[k] = h.v, uint64(h.w)
+			k++
+		}
+	}
+	return g
+}
+
+// half is one directed half of an edge during FromRows: partner v and
+// the count the row holds for it.
+type half struct {
+	v int32
+	w uint32
+}
+
+// compactRow writes the nonzero cells of r, whose first cell is column
+// base, to out in ascending column order and returns how many it wrote;
+// out must have room for len(r) entries. Every cell is written and only
+// a nonzero one advances the output, so the loop body has no
+// data-dependent branch; groups of eight zero cells are skipped whole.
+func compactRow(out []half, r []uint32, base int) int {
+	out = out[:len(r)]
+	k := 0
+	i := 0
+	for ; i+8 <= len(r); i += 8 {
+		c := r[i : i+8 : i+8]
+		if c[0]|c[1]|c[2]|c[3]|c[4]|c[5]|c[6]|c[7] == 0 {
+			continue
+		}
+		for j, x := range c {
+			out[k] = half{v: int32(base + i + j), w: x}
+			k += nonzero(x)
+		}
+	}
+	for ; i < len(r); i++ {
+		out[k] = half{v: int32(base + i), w: r[i]}
+		k += nonzero(r[i])
+	}
+	return k
+}
+
+// nonzero is 1 if x != 0 and 0 otherwise, without a branch: x or -x
+// has its top bit set exactly when x is nonzero.
+func nonzero(x uint32) int { return int((x | -x) >> 31) }
+
+// b2i converts a bool to 0 or 1; the compiler emits a flag set, not a
+// branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Filter returns the subgraph of g holding the edges of weight at least

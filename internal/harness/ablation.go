@@ -181,6 +181,9 @@ func (s *Suite) AblationWindow(benchmark string, windows []int) ([]WindowRow, er
 	if err != nil {
 		return nil, err
 	}
+	if err := checkProfileLimit(a); err != nil {
+		return nil, err
+	}
 	if len(windows) == 0 {
 		ws := a.Spec.WorkingSetSize()
 		windows = []int{ws, 2 * ws, 4 * ws, 0}
@@ -196,6 +199,7 @@ func (s *Suite) AblationWindow(benchmark string, windows []int) ([]WindowRow, er
 			opts = append(opts, profile.WithWindow(w))
 		}
 		profilers[i] = profile.NewProfiler(benchmark, a.Input.Name, opts...)
+		profilers[i].Reserve(a.Filter.StaticKept)
 		fan[i] = profilers[i]
 	}
 	if err := s.replayFiltered(a, fan); err != nil {

@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/profile"
 	"repro/internal/workload"
 )
 
@@ -383,5 +385,51 @@ func TestProgressWriter(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "compress") {
 		t.Fatal("no progress output")
+	}
+}
+
+// TestProfileLimitError checks the profiler's 32-bit counter limit as a
+// suite precondition: a count stage whose filtered stream is longer
+// than profile.MaxEvents gets a *ProfileLimitError from both profiling
+// paths, before any profiler consumes an event, and one exactly at the
+// limit passes. The count is set directly on a real count stage; no
+// 4G-event stream is run.
+func TestProfileLimitError(t *testing.T) {
+	m := obs.New(obs.NewRegistry())
+	s := NewSuite(Config{Scale: 0.05, Metrics: m})
+	c, err := s.Counts("compress", workload.InputRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := *c
+	big.Filter.DynamicKept = profile.MaxEvents
+	if err := checkProfileLimit(&big); err != nil {
+		t.Fatalf("stream at the limit refused: %v", err)
+	}
+	big.Filter.DynamicKept = profile.MaxEvents + 1
+	_, err = s.computeProfile(&big)
+	var lim *ProfileLimitError
+	if !errors.As(err, &lim) {
+		t.Fatalf("computeProfile past the limit: err = %v, want *ProfileLimitError", err)
+	}
+	if lim.Benchmark != "compress" || lim.Input != workload.InputRef.Name || lim.Events != profile.MaxEvents+1 || lim.Limit != profile.MaxEvents {
+		t.Fatalf("limit error fields %+v", *lim)
+	}
+	if !strings.Contains(err.Error(), "4294967296 dynamic branches") {
+		t.Fatalf("limit error message %q", err)
+	}
+	if got := m.Profile().Events.Value(); got != 0 {
+		t.Fatalf("profiler consumed %d events before the limit check", got)
+	}
+
+	// The window ablation profiles the same stream; enlarge the suite's
+	// cached count stage (this suite is the test's own) so it sees the
+	// oversized stream too.
+	c.Filter.DynamicKept = profile.MaxEvents + 1
+	if _, err := s.AblationWindow("compress", nil); !errors.As(err, &lim) {
+		t.Fatalf("AblationWindow past the limit: err = %v, want *ProfileLimitError", err)
+	}
+	if got := m.Profile().Events.Value(); got != 0 {
+		t.Fatalf("ablation consumed %d events before the limit check", got)
 	}
 }

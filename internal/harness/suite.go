@@ -261,11 +261,39 @@ func (s *Suite) computeCounts(benchmark string, input workload.InputSet) (*Artif
 	}, nil
 }
 
+// ProfileLimitError reports a filtered stream too long to profile: it
+// holds more dynamic branches than the profiler's 32-bit interleave
+// counters can count (profile.MaxEvents). The suite returns it before
+// running the profiler.
+type ProfileLimitError struct {
+	Benchmark string
+	Input     string
+	Events    uint64 // dynamic branches in the filtered stream
+	Limit     uint64 // profile.MaxEvents
+}
+
+func (e *ProfileLimitError) Error() string {
+	return fmt.Sprintf("harness: %s/%s: filtered stream has %d dynamic branches, over the profiler's limit of %d",
+		e.Benchmark, e.Input, e.Events, e.Limit)
+}
+
+// checkProfileLimit fails with a *ProfileLimitError when c's filtered
+// stream is too long for the profiler's counters.
+func checkProfileLimit(c *Artifacts) error {
+	if c.Filter.DynamicKept > profile.MaxEvents {
+		return &ProfileLimitError{Benchmark: c.Spec.Name, Input: c.Input.Name, Events: c.Filter.DynamicKept, Limit: profile.MaxEvents}
+	}
+	return nil
+}
+
 // computeProfile builds the profile stage on a finished count stage c:
 // a second execution, filtered through c's keep set, streams into the
 // profiler. c is shared by every reader of the count stage, so the
 // profile goes into a copy.
 func (s *Suite) computeProfile(c *Artifacts) (*Artifacts, error) {
+	if err := checkProfileLimit(c); err != nil {
+		return nil, err
+	}
 	window := s.profileWindow(c.Spec)
 	s.progressf("profile %s: %d dynamic branches (%d static, %.2f%% analyzed, window %d)",
 		c.Spec.Name, c.Filter.DynamicKept, c.Filter.StaticKept, 100*c.Filter.Coverage(), window)
@@ -274,7 +302,9 @@ func (s *Suite) computeProfile(c *Artifacts) (*Artifacts, error) {
 	prof := profile.NewProfiler(c.Spec.Name, c.Input.Name,
 		profile.WithWindow(window), profile.WithShards(s.cfg.ProfileShards),
 		profile.WithMetrics(s.cfg.Metrics.Profile()))
-	prof.Reserve(c.Spec.StaticBranches())
+	// The filtered stream holds exactly the kept static branches, so
+	// that is the count the profiler's rows are sized to.
+	prof.Reserve(c.Filter.StaticKept)
 	if err := s.replayFiltered(c, prof); err != nil {
 		return nil, err
 	}

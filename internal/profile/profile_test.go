@@ -61,7 +61,7 @@ func TestProfilerPaperExample(t *testing.T) {
 	p := NewProfiler("fig1", "ref")
 	feed(p, 4, 8, 12, 4)
 	prof := p.Profile()
-	idA, idB, idC := prof.IDOf(4), prof.IDOf(8), prof.IDOf(12)
+	idA, idB, idC := idOf(prof, 4), idOf(prof, 8), idOf(prof, 12)
 	if prof.Pairs.Weight(idA, idB) != 1 {
 		t.Fatal("(A,B) interleave not counted")
 	}
@@ -88,7 +88,7 @@ func TestProfilerLoopPair(t *testing.T) {
 	prof := p.Profile()
 	// A executes 10 times; executions 2..10 each see B ahead (9), and
 	// B's executions 2..10 each see A ahead (9): total 18.
-	if got := prof.Pairs.Weight(prof.IDOf(4), prof.IDOf(8)); got != 18 {
+	if got := prof.Pairs.Weight(idOf(prof, 4), idOf(prof, 8)); got != 18 {
 		t.Fatalf("pair count = %d, want 18", got)
 	}
 }
@@ -112,7 +112,7 @@ func TestProfilerExecAndTakenCounts(t *testing.T) {
 	p.Branch(4, true, 2)
 	p.Branch(8, false, 3)
 	prof := p.Profile()
-	idA := prof.IDOf(4)
+	idA := idOf(prof, 4)
 	if prof.Exec[idA] != 3 || prof.Taken[idA] != 2 {
 		t.Fatalf("exec=%d taken=%d", prof.Exec[idA], prof.Taken[idA])
 	}
@@ -179,8 +179,8 @@ func TestProfilerWindowLimitsDepth(t *testing.T) {
 		t.Fatalf("window 2 counted %d pairs, want 2", total)
 	}
 	// The counted partners are the most recent: 24 and 20.
-	if prof.Pairs.Weight(prof.IDOf(4), prof.IDOf(24)) != 1 ||
-		prof.Pairs.Weight(prof.IDOf(4), prof.IDOf(20)) != 1 {
+	if prof.Pairs.Weight(idOf(prof, 4), idOf(prof, 24)) != 1 ||
+		prof.Pairs.Weight(idOf(prof, 4), idOf(prof, 20)) != 1 {
 		t.Fatal("window kept the wrong partners")
 	}
 	if p.Window() != 2 {
@@ -225,7 +225,7 @@ func TestBuildGraphThreshold(t *testing.T) {
 	if g.NumEdges() != 1 {
 		t.Fatalf("threshold 10 edges = %d, want 1", g.NumEdges())
 	}
-	if !g.HasEdge(prof.IDOf(4), prof.IDOf(8)) {
+	if !g.HasEdge(idOf(prof, 4), idOf(prof, 8)) {
 		t.Fatal("surviving edge is wrong")
 	}
 }
@@ -245,7 +245,7 @@ func TestMergeProfiles(t *testing.T) {
 	if merged.NumBranches() != 3 {
 		t.Fatalf("merged statics = %d, want 3", merged.NumBranches())
 	}
-	id8 := merged.IDOf(8)
+	id8 := idOf(merged, 8)
 	if merged.Exec[id8] != 4 {
 		t.Fatalf("merged exec for pc 8 = %d, want 4", merged.Exec[id8])
 	}
@@ -253,10 +253,10 @@ func TestMergeProfiles(t *testing.T) {
 		t.Fatalf("input sets = %v", merged.InputSets)
 	}
 	// Pair (4,8) only from run a, pair (8,12) only from run b.
-	if merged.Pairs.Weight(merged.IDOf(4), id8) == 0 {
+	if merged.Pairs.Weight(idOf(merged, 4), id8) == 0 {
 		t.Fatal("pair from run a lost")
 	}
-	if merged.Pairs.Weight(id8, merged.IDOf(12)) == 0 {
+	if merged.Pairs.Weight(id8, idOf(merged, 12)) == 0 {
 		t.Fatal("pair from run b lost")
 	}
 }
@@ -290,10 +290,21 @@ func TestMergeSingleIsIdentityShaped(t *testing.T) {
 	}
 }
 
+// idOf returns the dense id of pc in prof, or -1 if pc never executed:
+// a linear scan of PCs, which is all a test needs.
+func idOf(prof *Profile, pc uint64) int32 {
+	for id, x := range prof.PCs {
+		if x == pc {
+			return int32(id)
+		}
+	}
+	return -1
+}
+
 func TestIDOfMissing(t *testing.T) {
 	p := NewProfiler("i", "ref")
 	feed(p, 4)
-	if id := p.Profile().IDOf(9999); id != -1 {
+	if id := idOf(p.Profile(), 9999); id != -1 {
 		t.Fatalf("IDOf(missing) = %d", id)
 	}
 }

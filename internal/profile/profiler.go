@@ -1,6 +1,9 @@
 package profile
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
@@ -20,9 +23,10 @@ import (
 // The hot path is flat throughout: pc resolves to a dense id through a
 // direct-indexed table (no map), the recency list is a contiguous
 // []int32 scanned forward (no pointer chasing), and interleave counts
-// accumulate in packed open-addressed per-branch tables (one uint64 per
-// slot, no Go map). First-touch discovery and table growth are the only
-// allocating paths and each runs O(static branches) times per run.
+// accumulate in dense per-branch rows indexed directly by partner id
+// (an increment is row[partner]++, no hashing). First-touch discovery
+// and row growth are the only allocating paths and each runs
+// O(static branches) times per run.
 type Profiler struct {
 	benchmark string
 	inputSet  string
@@ -51,14 +55,14 @@ type Profiler struct {
 
 	// shards is the accumulation engine (shard.go): the scan emits each
 	// event's partner prefix as one bulk copy into a staging batch, and
-	// batches are applied to per-branch neighbor counters grouped by
+	// batches are applied to per-branch neighbor rows grouped by
 	// destination — synchronously with one shard, by worker goroutines
-	// with more. nbrOf(id) reads a branch's counter in either mode.
-	// One unordered pair (a,b) accumulates partly in a's counter and
-	// partly in b's; the halves are summed at extraction. The per-branch
-	// split plus grouped apply keeps the increment loop's working set to
-	// one branch's neighborhood (a few KB, cache-resident) instead of
-	// the global pair population.
+	// with more. nbrOf(id) reads a branch's row in either mode.
+	// One unordered pair (a,b) accumulates partly in a's row and partly
+	// in b's; the halves are summed at extraction. The per-branch split
+	// plus grouped apply keeps the increment loop's working set to one
+	// branch's row (4 bytes per discovered branch, cache-resident)
+	// instead of the global pair population.
 	shards *pairShards
 
 	// metrics is the optional observability bundle; mEvents and mPairInc
@@ -72,91 +76,18 @@ type Profiler struct {
 	instructions uint64
 }
 
+// MaxEvents is the most dynamic branches one Profiler may consume. A
+// neighbor row cell counts at most one interleave per execution of its
+// row's branch, so with at most MaxEvents events no 32-bit cell can
+// wrap. Profile refuses to extract past it; callers that know a
+// stream's length up front should check it before profiling.
+const MaxEvents = math.MaxUint32
+
 // maxDenseWords bounds the direct-indexed pc table: addresses below
 // maxDenseWords*4 (the entire generated-program space) translate with
 // one load; anything above falls back to the highIDs map so adversarial
 // synthetic pcs cannot balloon the table.
 const maxDenseWords = 1 << 22
-
-// nbrCounter is a small open-addressed counter from partner id to
-// interleave count, packed one entry per uint64 slot: (id+1) in the
-// high word, count in the low word. Slot 0 means empty (ids are
-// non-negative, so id+1 is never 0). Packing halves the cache lines
-// touched per increment versus parallel key/value arrays — the
-// increment is the profiler's innermost operation.
-type nbrCounter struct {
-	slots []uint64
-	n     int
-}
-
-const nbrMinCap = 8
-
-// nbrHash mixes a branch id for slot selection: Fibonacci multiply plus
-// an xor-fold so the masked low bits see the high ones.
-func nbrHash(key int32) uint32 {
-	h := uint32(key) * 0x9e3779b9
-	return h ^ h>>15
-}
-
-// add increments the count for partner key.
-func (c *nbrCounter) add(key int32) {
-	if (c.n+1)*4 > len(c.slots)*3 {
-		c.grow() //reprolint:allow hotpath amortized geometric growth, O(log neighborhood) times per branch
-	}
-	mask := uint32(len(c.slots) - 1)
-	i := nbrHash(key) & mask
-	kp := uint64(uint32(key)) + 1
-	for {
-		s := c.slots[i]
-		if s>>32 == kp {
-			c.slots[i] = s + 1
-			return
-		}
-		if s == 0 {
-			c.slots[i] = kp<<32 | 1
-			c.n++
-			return
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// grow doubles the slot array (allocating the initial one on first
-// use) and rehashes. Runs O(log final-size) times per branch over a
-// whole profiling run; the steady state never enters it.
-func (c *nbrCounter) grow() {
-	old := c.slots
-	size := nbrMinCap
-	if len(old) > 0 {
-		size = len(old) * 2
-	}
-	c.slots = make([]uint64, size) //reprolint:allow hotpath amortized geometric growth, O(log neighborhood) times per branch
-	mask := uint32(size - 1)
-	for _, s := range old {
-		if s == 0 {
-			continue
-		}
-		i := nbrHash(int32(uint32(s>>32)-1)) & mask
-		for c.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		c.slots[i] = s
-	}
-}
-
-// each calls f for every (key, count) stored, in slot order.
-// Extraction hands the entries to graph.FromPairs, which sorts the
-// rows, so slot order never reaches the profile.
-func (c *nbrCounter) each(f func(key int32, count uint32)) {
-	for _, s := range c.slots {
-		if s != 0 {
-			f(int32(uint32(s>>32)-1), uint32(s))
-		}
-	}
-}
-
-// bytes reports the slot array's footprint.
-func (c *nbrCounter) bytes() uint64 { return uint64(len(c.slots)) * 8 }
 
 // Option configures a Profiler.
 type Option func(*Profiler)
@@ -171,10 +102,10 @@ func WithWindow(depth int) Option {
 }
 
 // WithShards selects how many workers accumulate the interleave
-// increments. n <= 1 keeps the serial per-branch counters — the exact
-// pre-sharding code path. n > 1 partitions the counters by executing
+// increments. n <= 1 keeps the serial per-branch rows — the exact
+// pre-sharding code path. n > 1 partitions the rows by executing
 // branch id across n worker goroutines; the merged profile is identical
-// for every n because each branch's counter receives exactly the same
+// for every n because each branch's row receives exactly the same
 // increment sequence it would serially (DESIGN.md §15).
 func WithShards(n int) Option {
 	return func(p *Profiler) {
@@ -219,9 +150,12 @@ func NewProfiler(benchmark, inputSet string, opts ...Option) *Profiler {
 }
 
 // Reserve pre-sizes the per-branch state for n static branches, so
-// first-touch discovery never reallocates mid-run. Callers that know
-// the workload (harness, bench) reserve from Spec.StaticBranches.
+// first-touch discovery never reallocates mid-run, and caps neighbor
+// row growth at n cells while n covers the ids discovered. Callers that
+// know the workload (harness, bench) reserve from the static branch
+// count of the stream they profile.
 func (p *Profiler) Reserve(n int) {
+	p.shards.reserve = max(p.shards.reserve, n)
 	if n <= cap(p.pcs) {
 		return
 	}
@@ -280,7 +214,7 @@ func (p *Profiler) Branch(pc uint64, taken bool, icount uint64) {
 			emit = p.window
 		}
 		if emit > 0 {
-			p.shards.emit(id, live[:emit])
+			p.shards.emit(id, live[:emit], len(live))
 			p.mPairInc.Add(uint64(emit))
 		}
 		// Move to front: shift the prefix right one slot over id.
@@ -375,17 +309,21 @@ func (p *Profiler) growFront() {
 func (p *Profiler) Branches() uint64 { return p.branches }
 
 // TableBytes reports the memory held by the interleave accumulation
-// tables (the per-branch counters, in either mode) — the profiler's
-// dominant footprint, recorded by cmd/bench.
+// rows (the dense per-branch neighbor rows, in either mode): 4 bytes
+// per cell. A row spans its branch's highest partner id and at most
+// half again the ids discovered (never past an exact Reserve), so n
+// discovered branches hold at most 4 × n × 1.5n bytes — 4 × n² with an
+// exact reserve. It is the profiler's dominant footprint, recorded by
+// cmd/bench.
 func (p *Profiler) TableBytes() uint64 {
 	return p.shards.tableBytes()
 }
 
 // ShardTableBytes reports the extra memory sharded accumulation holds
 // beyond the serial path: the in-flight event batches and partition
-// bookkeeping (0 in serial mode). The counters themselves are the same
-// tables serial mode keeps, merely partitioned across workers, so they
-// are reported by TableBytes, not here. BENCH_3's 128 MB figure was
+// bookkeeping (0 in serial mode). The neighbor rows themselves are the
+// same rows serial mode keeps, merely partitioned across workers, so
+// they are reported by TableBytes, not here. BENCH_3's 128 MB figure was
 // this quantity under the old design, which duplicated every pair into
 // shard-local tables.
 func (p *Profiler) ShardTableBytes() uint64 {
@@ -399,48 +337,45 @@ func (p *Profiler) ShardTableBytes() uint64 {
 // estimated from the last branch time stamp).
 func (p *Profiler) SetInstructions(n uint64) { p.instructions = n }
 
-// nbrOf returns branch id's neighbor counter in either mode. In sharded
-// mode the counter lives in the owning worker's partition; callers must
-// quiesce the workers first (drain). The returned counter may be empty.
-func (p *Profiler) nbrOf(id int32) *nbrCounter {
+// nbrOf returns branch id's neighbor row in either mode: row[v] is the
+// number of times v ran between two consecutive executions of id (id's
+// half of pair {id, v}). In sharded mode the row lives in the owning
+// worker's partition; callers must quiesce the workers first (drain).
+// The row may be nil or shorter than the id count: cells past its end
+// are zero.
+func (p *Profiler) nbrOf(id int32) []uint32 {
 	w := int(uint32(id)) % p.shards.p
 	row := int(uint32(id)) / p.shards.p
 	if row >= len(p.shards.tabs[w]) {
-		return &emptyNbr
+		return nil
 	}
-	return &p.shards.tabs[w][row]
+	return p.shards.tabs[w][row]
 }
-
-// emptyNbr backs nbrOf for branches that never emitted a pair; it must
-// never be written.
-var emptyNbr nbrCounter
 
 // Profile extracts the accumulated profile. The Profiler remains usable;
 // further events continue accumulating on top.
 //
-// Extraction reads the per-branch neighbor counters directly: each
-// entry (b, count) in branch a's counter becomes the pair {a, b}, and
-// graph.FromPairs sums the halves of a pair that accumulated in both
-// counters and sorts every row. The pair list is sized exactly from the
-// counter populations, and the graph's rows are sorted, so the
-// extracted profile depends only on the counters' contents — which are
-// identical for every shard count (DESIGN.md §15).
+// Extraction hands the per-branch neighbor rows to graph.FromRows,
+// which sums the two halves of every pair (w(a,b) = row_a[b] + row_b[a])
+// straight into the exactly sized CSR rows. The rows' contents are
+// identical for every shard count (DESIGN.md §15), so the extracted
+// profile is too.
+//
+// Past MaxEvents consumed events the 32-bit counts may have wrapped
+// silently, and Profile panics rather than return them.
 func (p *Profiler) Profile() *Profile {
+	if p.branches > MaxEvents {
+		panic(fmt.Sprintf("profile: %s/%s consumed %d dynamic branches, over the %d a 32-bit interleave counter can hold; profile a shorter or filtered stream",
+			p.benchmark, p.inputSet, p.branches, uint64(MaxEvents)))
+	}
 	done := p.metrics.StartMerge()
 	// Quiesce the engine: staged batches are applied (and, sharded, the
-	// workers stopped), after which the counters are complete and safe
-	// to read from this goroutine.
+	// workers stopped), after which the rows are complete and safe to
+	// read from this goroutine.
 	p.shards.drain()
-	halves := 0
-	for id := range p.pcs {
-		halves += p.nbrOf(int32(id)).n
-	}
-	pairs := make([]graph.Pair, 0, halves)
-	for id := range p.pcs {
-		a := int32(id)
-		p.nbrOf(a).each(func(b int32, count uint32) {
-			pairs = append(pairs, graph.Pair{U: a, V: b, W: uint64(count)})
-		})
+	rows := make([][]uint32, len(p.pcs))
+	for id := range rows {
+		rows[id] = p.nbrOf(int32(id))
 	}
 	out := &Profile{
 		Benchmark:    p.benchmark,
@@ -449,7 +384,7 @@ func (p *Profiler) Profile() *Profile {
 		PCs:          append([]uint64(nil), p.pcs...),
 		Exec:         append([]uint64(nil), p.exec...),
 		Taken:        append([]uint64(nil), p.taken...),
-		Pairs:        graph.FromPairs(len(p.pcs), pairs),
+		Pairs:        graph.FromRows(len(p.pcs), rows),
 	}
 	done(out.Pairs.Len())
 	return out

@@ -58,8 +58,9 @@ func BenchmarkProfilerWindowed(b *testing.B) {
 	b.ReportMetric(float64(len(stream))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mbranches/s")
 }
 
-// BenchmarkProfileExtraction measures Profile() — the per-branch
-// neighbor-counter merge into the conflict graph.
+// BenchmarkProfileExtraction measures Profile() — graph.FromRows
+// compacting the dense per-branch neighbor rows, transposing them and
+// merging each row with its transpose into the conflict graph's CSR.
 func BenchmarkProfileExtraction(b *testing.B) {
 	stream := syntheticStream(2000, 200, 1<<18)
 	p := NewProfiler("bench", "ref")

@@ -6,30 +6,36 @@ import (
 	"repro/internal/obs"
 )
 
-// Flat-table pair accumulation. The profiler's recency scan produces,
+// Dense-row pair accumulation. The profiler's recency scan produces,
 // per event, the executing branch id and a contiguous prefix of the
 // recency list — its interleave partners. Those are bulk-copied (one
 // memmove, no per-key work) into a struct-of-arrays staging batch; a
-// full batch is applied to the per-branch counters grouped by
-// destination, so one branch's counter is brought into cache once per
+// full batch is applied to the per-branch neighbor rows grouped by
+// destination, so one branch's row is brought into cache once per
 // batch and takes every one of its increments while hot, instead of
 // being re-fetched on every event. Grouping is what makes pair counting
-// fast: ungrouped, each event scatters to a different branch's table
-// and every increment pays a cache miss.
+// fast: ungrouped, each event scatters to a different branch's row and
+// every increment pays a cache miss.
 //
-// Sharded mode (P > 1) partitions the counters by executing branch id:
+// A row is a []uint32 indexed directly by partner id, so an increment
+// is row[partner]++. Every partner of a staged event is an id already
+// discovered, so a batch records the discovered-id count as the row
+// length its increments need; a row shorter than that grows, at most
+// once per batch, to rowTarget's length. Rows never grow by doubling.
+//
+// Sharded mode (P > 1) partitions the rows by executing branch id:
 // worker w owns ids ≡ w (mod P) and applies the batches the producer
 // routes to it. No lock, channel, or map is touched per increment —
 // hand-off is per batch. Serial mode (P = 1) is the same engine with
 // the apply running synchronously in the producer.
 //
 // Determinism: a batch is applied grouped by destination but *stably* —
-// events of one branch keep their stream order — so each counter
-// receives exactly the increment sequence it would receive from an
-// unbatched serial loop. Counter contents and even slot layouts are
-// therefore identical for every shard count P and every batch geometry;
-// extraction walks ids in ascending order and each counter in slot
-// order, making the extracted profile byte-identical by construction
+// events of one branch keep their stream order — so each row receives
+// exactly the increment sequence it would receive from an unbatched
+// serial loop. Row contents are therefore identical for every shard
+// count P and every batch geometry (row lengths may differ, but cells
+// past a row's end are zero either way), and extraction reads only the
+// contents, making the extracted profile byte-identical by construction
 // (DESIGN.md §15).
 
 const (
@@ -48,11 +54,14 @@ const (
 
 // shardBatch is one struct-of-arrays staging unit: event i executed
 // branch ids[i] and its interleave partners are the next lens[i]
-// entries of partners.
+// entries of partners. Every partner id is below known, the row length
+// the batch's increments need; a shorter row grows to growTo.
 type shardBatch struct {
 	ids      []int32
 	lens     []int32
 	partners []int32
+	known    int
+	growTo   int
 }
 
 func newShardBatch(partnersCap int) *shardBatch {
@@ -69,6 +78,7 @@ func (b *shardBatch) reset() {
 	b.ids = b.ids[:0]
 	b.lens = b.lens[:0]
 	b.partners = b.partners[:0]
+	b.known, b.growTo = 0, 0
 }
 
 // applyScratch is the per-worker workspace for grouped batch apply:
@@ -82,11 +92,11 @@ type applyScratch struct {
 	touched []int32
 }
 
-// applyBatch applies one batch to a counter partition, grouped stably
-// by destination row (id/p): all increments for one branch run
-// back-to-back while its counter is cache-hot, in stream order. Returns
-// the (possibly grown) partition.
-func applyBatch(b *shardBatch, tabs []nbrCounter, sc *applyScratch, p int) []nbrCounter {
+// applyBatch applies one batch to a row partition, grouped stably by
+// destination (id/p): all increments for one branch run back-to-back
+// while its row is cache-hot, in stream order. Returns the (possibly
+// grown) partition.
+func applyBatch(b *shardBatch, tabs [][]uint32, sc *applyScratch, p int) [][]uint32 {
 	n := len(b.ids)
 	if n == 0 {
 		return tabs
@@ -132,12 +142,16 @@ func applyBatch(b *shardBatch, tabs []nbrCounter, sc *applyScratch, p int) []nbr
 	}
 
 	// Pass 2: per destination, walk its chain and apply every increment
-	// while the counter is hot.
+	// while the row is hot.
 	for _, r := range sc.touched {
-		t := &tabs[r]
+		row := tabs[r]
+		if len(row) < b.known {
+			row = growRow(row, b.growTo)
+			tabs[r] = row
+		}
 		for i := sc.head[r]; i >= 0; i = next[i] {
 			for _, cur := range b.partners[offs[i] : offs[i]+b.lens[i]] {
-				t.add(cur)
+				row[cur]++
 			}
 		}
 		sc.head[r] = -1
@@ -145,8 +159,32 @@ func applyBatch(b *shardBatch, tabs []nbrCounter, sc *applyScratch, p int) []nbr
 	return tabs
 }
 
-// growPartition extends a counter partition geometrically.
-func growPartition(tabs []nbrCounter, n int) []nbrCounter {
+// rowTarget is the length a row grows to when it must hold known cells:
+// half again the ids discovered so far, capped at the reserved static
+// count when that covers them. Discovery is spread over the run (a
+// benchmark meets new branches scene by scene), so the slack bounds a
+// row's regrowths to O(log n) and its length to 1.5n for n discovered
+// branches, and with an exact reserve to n. Growing straight to the
+// reserve instead would trust it as exact: a caller that reserves a
+// program's static branch count while profiling a filtered stream of a
+// quarter of them would get rows four times too long.
+func rowTarget(known, reserve int) int {
+	t := known + known/2
+	if reserve >= known {
+		t = min(t, reserve)
+	}
+	return t
+}
+
+// growRow extends a neighbor row to n cells, keeping its counts.
+func growRow(row []uint32, n int) []uint32 {
+	grown := make([]uint32, n) //reprolint:allow hotpath row growth by half again the discovered ids: O(log static-branches) times per branch, at most once per batch
+	copy(grown, row)
+	return grown
+}
+
+// growPartition extends a row partition geometrically.
+func growPartition(tabs [][]uint32, n int) [][]uint32 {
 	size := cap(tabs)
 	if size < 64 {
 		size = 64
@@ -154,7 +192,7 @@ func growPartition(tabs []nbrCounter, n int) []nbrCounter {
 	for size < n {
 		size *= 2
 	}
-	grown := make([]nbrCounter, n, size) //reprolint:allow hotpath amortized geometric growth, O(log static-branches) times per run
+	grown := make([][]uint32, n, size) //reprolint:allow hotpath amortized geometric growth, O(log static-branches) times per run
 	copy(grown, tabs)
 	return grown
 }
@@ -162,16 +200,17 @@ func growPartition(tabs []nbrCounter, n int) []nbrCounter {
 // pairShards is the accumulation engine for both modes. With p == 1
 // everything runs in the producer. With p > 1, workers run only while
 // events are flowing: drain stops them and establishes a happens-before
-// edge, after which the partitioned counters are safe to read from the
+// edge, after which the partitioned rows are safe to read from the
 // caller's goroutine; the next emit restarts them.
 type pairShards struct {
 	p        int
 	batchCap int // partner entries per batch
+	reserve  int // expected static branch count (Profiler.Reserve); producer-owned
 
-	// tabs[w][id/p] is branch id's counter, owned by worker w = id%p.
-	// Only worker w writes its partition while running; the producer
-	// reads all partitions after drain.
-	tabs    [][]nbrCounter
+	// tabs[w][id/p] is branch id's neighbor row, owned by worker
+	// w = id%p. Only worker w writes its partition while running; the
+	// producer reads all partitions after drain.
+	tabs    [][][]uint32
 	scratch []*applyScratch
 
 	cur     []*shardBatch      // batch being filled per worker, producer-owned
@@ -192,7 +231,7 @@ func newPairShards(n int) *pairShards {
 	if n > 1 {
 		// Fixed total staging budget: per-worker batches shrink as P
 		// grows, and so do per-worker partitions — the amortization
-		// ratio (increments per cached counter) is P-independent.
+		// ratio (increments per cached row) is P-independent.
 		batchCap = stagingPartners / (n * (shardFreeDepth + 1))
 		if batchCap < 1<<12 {
 			batchCap = 1 << 12
@@ -201,7 +240,7 @@ func newPairShards(n int) *pairShards {
 	s := &pairShards{
 		p:        n,
 		batchCap: batchCap,
-		tabs:     make([][]nbrCounter, n),
+		tabs:     make([][][]uint32, n),
 		scratch:  make([]*applyScratch, n),
 		cur:      make([]*shardBatch, n),
 		chs:      make([]chan *shardBatch, n),
@@ -231,7 +270,7 @@ func (s *pairShards) start() {
 	s.running = true
 }
 
-// worker applies batches to its own counter partition. The partition
+// worker applies batches to its own row partition. The partition
 // slice is grown worker-locally and published back to s.tabs[w] before
 // wg.Done, which happens-before the post-drain reads.
 func (s *pairShards) worker(w int) {
@@ -249,8 +288,9 @@ func (s *pairShards) worker(w int) {
 // emit stages one event's partner prefix for the owning worker: a bulk
 // append (memmove) into the worker's current batch, flushing when full.
 // Oversized prefixes are chunked across batches; counts are preserved
-// because apply walks increments per header.
-func (s *pairShards) emit(id int32, partners []int32) {
+// because apply walks increments per header. known is the number of
+// ids discovered so far, which bounds every partner id.
+func (s *pairShards) emit(id int32, partners []int32, known int) {
 	w := int(uint32(id)) % s.p
 	for len(partners) > 0 {
 		b := s.cur[w]
@@ -270,6 +310,7 @@ func (s *pairShards) emit(id int32, partners []int32) {
 		b.ids = append(b.ids, id)                        //reprolint:allow hotpath append within fixed batch capacity; flush guarantees room
 		b.lens = append(b.lens, int32(n))                //reprolint:allow hotpath append within fixed batch capacity; flush guarantees room
 		b.partners = append(b.partners, partners[:n]...) //reprolint:allow hotpath append within fixed batch capacity; flush guarantees room
+		b.known = known
 		partners = partners[n:]
 	}
 }
@@ -282,6 +323,7 @@ func (s *pairShards) flush(w int) {
 	if b == nil || len(b.ids) == 0 {
 		return
 	}
+	b.growTo = rowTarget(b.known, s.reserve)
 	if s.p == 1 {
 		s.tabs[0] = applyBatch(b, s.tabs[0], s.scratch[0], 1)
 		b.reset()
@@ -298,7 +340,7 @@ func (s *pairShards) flush(w int) {
 }
 
 // drain flushes every staged batch and stops the workers. On return the
-// partitioned counters hold every increment issued so far and may be
+// partitioned rows hold every increment issued so far and may be
 // read from the calling goroutine; accumulation can resume afterwards
 // (the next flush restarts the workers).
 //
@@ -321,13 +363,13 @@ func (s *pairShards) drain() {
 	s.running = false
 }
 
-// tableBytes reports the partitioned counters' footprint — the
+// tableBytes reports the partitioned rows' footprint — the
 // accumulator memory common to both modes.
 func (s *pairShards) tableBytes() uint64 {
 	var total uint64
 	for w := range s.tabs {
-		for i := range s.tabs[w] {
-			total += s.tabs[w][i].bytes()
+		for _, row := range s.tabs[w] {
+			total += uint64(cap(row)) * 4
 		}
 	}
 	return total
@@ -335,7 +377,7 @@ func (s *pairShards) tableBytes() uint64 {
 
 // overheadBytes reports the memory sharding adds over serial
 // accumulation: the extra circulating staging batches plus partition
-// and scratch bookkeeping. The counters themselves are common to both
+// and scratch bookkeeping. The rows themselves are common to both
 // modes and excluded (see tableBytes); serial mode's single staging
 // batch is the baseline.
 func (s *pairShards) overheadBytes() uint64 {
