@@ -8,7 +8,7 @@ package repro
 // territory; run cmd/tables -scale 1 for the full-scale numbers recorded
 // in EXPERIMENTS.md. Custom metrics report the experiment's headline
 // quantity alongside time/op. cmd/bench wraps these same experiments
-// into the machine-readable BENCH_3.json regression report.
+// into the machine-readable BENCH_7.json regression report.
 
 import (
 	"io"

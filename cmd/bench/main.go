@@ -1,27 +1,20 @@
 // Command bench measures the experiment harness and emits a
 // machine-readable benchmark report (default bench.json, untracked) for
 // regression tracking: per-experiment ns/op, allocs/op, bytes/op and
-// approximate branch-stream throughput in Mbranches/s, a suite section
-// comparing a serial run (one benchmark worker) against a parallel one
-// (wall clock, parallel throughput), and a sharding sweep over
-// P ∈ {1, 2, 4, 8} profile shards recording wall clock, speedup vs P=1, throughput, and table memory at every point —
-// at the suite level (where the harness clamps P to GOMAXPROCS; clamped
-// points are marked and reuse the measurement of the effective P) and
-// as a direct profile pass with exact sharding.
+// approximate branch-stream throughput in Mbranches/s, and a suite
+// section comparing a serial run (one benchmark worker) against a
+// parallel one (wall clock, parallel throughput).
 //
 // Usage:
 //
 //	bench [-scale 0.1] [-workers 8] [-o bench.json]
 //	      [-baseline BENCH_7.json] [-tolerance 0.25] [-update]
-//	      [-min-suite-speedup 1.0]
 //
 // With -baseline it compares each experiment's ns/op against the
 // committed baseline and exits nonzero on a regression beyond the
 // tolerance. Baselines are machine-specific: regenerate with -update
 // when the reference hardware changes, or write the committed baseline
-// directly with -o BENCH_7.json. -min-suite-speedup fails the run
-// if any sweep point's suite-level speedup over P=1 drops below the
-// bound — the guard against reintroducing the sharding regression.
+// directly with -o BENCH_7.json.
 package main
 
 import (
@@ -38,7 +31,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/predict"
-	"repro/internal/profile"
 	"repro/internal/workload"
 )
 
@@ -63,53 +55,13 @@ type SuiteComparison struct {
 	ParallelMBranchesPerS float64 `json:"parallel_mbranches_per_s"`
 }
 
-// ShardPoint is one P in the sharding sweep.
-type ShardPoint struct {
-	Shards int `json:"shards"`
-	// Clamped marks suite-level points where the harness clamped P to
-	// GOMAXPROCS (sharding beyond the machine's parallelism is pure
-	// overhead). A clamped point reuses the measurement of its
-	// effective P, so its suite speedup is 1.0 by construction; the
-	// profile-level columns always use exact sharding.
-	Clamped              bool    `json:"clamped"`
-	SuiteNs              int64   `json:"suite_ns"`
-	SuiteSpeedup         float64 `json:"suite_speedup"`
-	SuiteMBranchesPerS   float64 `json:"suite_mbranches_per_s"`
-	ProfileNs            int64   `json:"profile_ns"`
-	ProfileSpeedup       float64 `json:"profile_speedup"`
-	ProfileMBranchesPerS float64 `json:"profile_mbranches_per_s"`
-	// ShardTableBytes is the sharding-only overhead (staging batches
-	// and partition headers) — the memory the sharded mode costs on
-	// top of the neighbor rows themselves; 0 at P=1.
-	ShardTableBytes uint64 `json:"shard_table_bytes"`
-	// TableBytes is the absolute footprint of the dense per-branch
-	// interleave rows (4 bytes per cell) in either mode.
-	TableBytes uint64 `json:"table_bytes"`
-}
-
-// ShardingComparison sweeps the intra-benchmark hot paths over shard
-// counts: the full table+figure composition (one benchmark worker, so only intra-benchmark parallelism differs) and a direct
-// unfiltered profile pass on one benchmark. Output is byte-identical at
-// every P; only time and memory differ — the differential suites in
-// internal/profile enforce this, and the merged pair count is checked
-// for equality across the sweep here.
-type ShardingComparison struct {
-	ProfileBenchmark string       `json:"profile_benchmark"`
-	MergedPairs      int          `json:"merged_pairs"`
-	Sweep            []ShardPoint `json:"sweep"`
-}
-
 // Report is the BENCH_7.json schema.
 type Report struct {
 	Scale       float64            `json:"scale"`
 	GoMaxProcs  int                `json:"gomaxprocs"`
 	Experiments []ExperimentResult `json:"experiments"`
 	Suite       SuiteComparison    `json:"suite"`
-	Sharding    ShardingComparison `json:"sharding"`
 }
-
-// shardSweep is the sharding sweep's shard counts.
-var shardSweep = []int{1, 2, 4, 8}
 
 func main() {
 	var (
@@ -120,7 +72,6 @@ func main() {
 		tolerance  = flag.Float64("tolerance", 0.25, "allowed fractional ns/op regression vs the baseline")
 		update     = flag.Bool("update", false, "overwrite the baseline with this run's report")
 		metrics    = flag.Bool("metrics", false, "instrument the comparison runs and dump the metrics registry (text encoding) to stderr")
-		minSpeedup = flag.Float64("min-suite-speedup", 0, "fail if any sweep point's suite-level sharding speedup is below this (0 disables)")
 		predictor  = flag.String("predictor", "", "also benchmark the predictor zoo for these comma-separated kinds (pag, gshare, tage, perceptron; 'all' runs the whole zoo)")
 		graphsFlag = flag.Bool("graphs", false, "also benchmark the graph-workload experiment (full zoo over the BFS/CC/triangle family) and the predictability characterization")
 	)
@@ -159,16 +110,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s\n", *out)
-
-	if *minSpeedup > 0 {
-		for _, pt := range rep.Sharding.Sweep {
-			if pt.SuiteSpeedup < *minSpeedup {
-				fmt.Fprintf(os.Stderr, "bench: suite speedup %.3f at shards=%d below required %.2f\n",
-					pt.SuiteSpeedup, pt.Shards, *minSpeedup)
-				os.Exit(1)
-			}
-		}
-	}
 
 	if *baseline != "" && !*update {
 		if err := compare(*baseline, rep, *tolerance); err != nil {
@@ -326,124 +267,7 @@ func measure(clock obs.Clock, scale float64, workers int, zooKinds []string, wit
 	fmt.Printf("suite    serial %v, parallel(%d) %v: %.2fx, %.2f Mbranches/s\n",
 		time.Duration(suite.SerialNs), suite.Workers, time.Duration(suite.ParallelNs),
 		suite.Speedup, suite.ParallelMBranchesPerS)
-
-	sharding, err := compareSharding(clock, scale, shardSweep, m)
-	if err != nil {
-		return nil, err
-	}
-	rep.Sharding = *sharding
-	for _, pt := range sharding.Sweep {
-		clamp := ""
-		if pt.Clamped {
-			clamp = " (clamped)"
-		}
-		fmt.Printf("sharding P=%d%-10s suite %v %.2fx %.2f Mbr/s; profile %s %v %.2fx %.2f Mbr/s, overhead %d B, tables %d B\n",
-			pt.Shards, clamp, time.Duration(pt.SuiteNs), pt.SuiteSpeedup, pt.SuiteMBranchesPerS,
-			sharding.ProfileBenchmark, time.Duration(pt.ProfileNs), pt.ProfileSpeedup, pt.ProfileMBranchesPerS,
-			pt.ShardTableBytes, pt.TableBytes)
-	}
 	return rep, nil
-}
-
-// compareSharding sweeps the intra-benchmark hot paths over the shard
-// counts in sweep: the full table+figure composition (one benchmark
-// worker, so only intra-benchmark parallelism differs), and a
-// direct unfiltered profile pass over the heaviest benchmark's branch
-// stream, where the table memory costs are also read.
-//
-// The harness clamps suite-level sharding to GOMAXPROCS (running more
-// workers than cores is pure overhead), so sweep points beyond the
-// machine's parallelism are marked Clamped and reuse the measurement of
-// their effective P — by construction their suite speedup is that of
-// the clamp target. The profile pass always uses exact sharding.
-func compareSharding(clock obs.Clock, scale float64, sweep []int, m *obs.Metrics) (*ShardingComparison, error) {
-	type suiteRun struct {
-		ns       int64
-		branches uint64
-	}
-	maxP := runtime.GOMAXPROCS(0)
-	suiteByEff := make(map[int]suiteRun)
-	runSuite := func(profileShards int) (suiteRun, error) {
-		s := harness.NewSuite(harness.Config{
-			Scale: scale, Workers: 1, ProfileShards: profileShards, Metrics: m,
-		})
-		elapsed, err := timeRun(clock, func() error {
-			return harness.RunAll(s, io.Discard, false)
-		})
-		if err != nil {
-			return suiteRun{}, err
-		}
-		return suiteRun{ns: elapsed.Nanoseconds(), branches: streamBranches(s)}, nil
-	}
-
-	const profileBench = "gcc" // largest static branch set in the suite
-	spec, err := workload.ByName(profileBench)
-	if err != nil {
-		return nil, err
-	}
-	runCfg := workload.RunConfig{Input: workload.InputRef, Scale: scale}
-
-	c := &ShardingComparison{ProfileBenchmark: profileBench, MergedPairs: -1}
-	var suiteBase, profBase int64
-	for _, p := range sweep {
-		eff := p
-		if eff > maxP {
-			eff = maxP
-		}
-		sr, ok := suiteByEff[eff]
-		if !ok {
-			if sr, err = runSuite(eff); err != nil {
-				return nil, err
-			}
-			suiteByEff[eff] = sr
-		}
-
-		prof := profile.NewProfiler(profileBench, workload.InputRef.Name,
-			profile.WithShards(p), profile.WithMetrics(m.Profile()))
-		prof.Reserve(spec.StaticBranches())
-		var pairs int
-		profElapsed, err := timeRun(clock, func() error {
-			if _, err := spec.RunInto(runCfg, prof); err != nil {
-				return err
-			}
-			pairs = prof.Profile().Pairs.Len()
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if c.MergedPairs < 0 {
-			c.MergedPairs = pairs
-		} else if pairs != c.MergedPairs {
-			return nil, fmt.Errorf("sharding sweep: merged pair count diverged at P=%d: %d vs %d", p, pairs, c.MergedPairs)
-		}
-
-		pt := ShardPoint{
-			Shards:          p,
-			Clamped:         eff != p,
-			SuiteNs:         sr.ns,
-			ProfileNs:       profElapsed.Nanoseconds(),
-			ShardTableBytes: prof.ShardTableBytes(),
-			TableBytes:      prof.TableBytes(),
-		}
-		if sr.ns > 0 {
-			pt.SuiteMBranchesPerS = float64(sr.branches) / (float64(sr.ns) / 1e9) / 1e6
-		}
-		if pt.ProfileNs > 0 {
-			pt.ProfileMBranchesPerS = float64(prof.Branches()) / (float64(pt.ProfileNs) / 1e9) / 1e6
-		}
-		if p == sweep[0] {
-			suiteBase, profBase = sr.ns, pt.ProfileNs
-		}
-		if sr.ns > 0 {
-			pt.SuiteSpeedup = float64(suiteBase) / float64(sr.ns)
-		}
-		if pt.ProfileNs > 0 {
-			pt.ProfileSpeedup = float64(profBase) / float64(pt.ProfileNs)
-		}
-		c.Sweep = append(c.Sweep, pt)
-	}
-	return c, nil
 }
 
 // streamBranches estimates the branch events that flowed through the

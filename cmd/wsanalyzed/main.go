@@ -1,6 +1,6 @@
 // Command wsanalyzed is the long-running service mode of the working-set
 // analysis pipeline: it accepts analysis jobs over HTTP, runs them on
-// the instrumented sharded harness with bounded concurrency, and
+// the instrumented harness with bounded concurrency, and
 // exposes the observability registry.
 //
 // Usage:

@@ -411,7 +411,7 @@ func TestMetricsEndpointGolden(t *testing.T) {
 	srv := newServer(reg, 1)
 	ts := newTestService(t, srv)
 
-	id := submit(t, ts, analyzeRequest{Kind: "table", Table: 1, Scale: 0.02, Workers: 1, Shards: 1})
+	id := submit(t, ts, analyzeRequest{Kind: "table", Table: 1, Scale: 0.02, Workers: 1})
 	if j := poll(t, ts, id); j.Status != "done" {
 		t.Fatalf("job failed: %s", j.Error)
 	}
@@ -459,7 +459,6 @@ func TestValidation(t *testing.T) {
 		{Kind: "figure", Figure: 1},
 		{Kind: "table", Table: 1, Scale: -0.5},
 		{Kind: "table", Table: 1, Workers: -1},
-		{Kind: "table", Table: 1, Shards: -2},
 	}
 	for _, c := range cases {
 		resp, body := postJSON(t, ts.URL+"/analyze", c)
@@ -485,6 +484,34 @@ func TestValidation(t *testing.T) {
 
 	if resp := getJSON(t, ts.URL+"/jobs/job-999", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
+	}
+
+	// A legacy body may still carry the removed "shards" knob: unknown
+	// fields are ignored, so it is accepted and renders the same result
+	// as the body without it.
+	var results []string
+	for _, body := range []map[string]any{
+		{"kind": "table", "table": 1, "scale": 0.02, "workers": 1, "shards": 2},
+		{"kind": "table", "table": 1, "scale": 0.02, "workers": 1},
+	} {
+		resp, raw := postJSON(t, ts.URL+"/analyze", body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%v: status %d, want 202 (body %s)", body, resp.StatusCode, raw)
+		}
+		var acc struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(raw, &acc); err != nil {
+			t.Fatal(err)
+		}
+		j := poll(t, ts, acc.ID)
+		if j.Status != "done" {
+			t.Fatalf("%v: job failed: %s", body, j.Error)
+		}
+		results = append(results, j.Result)
+	}
+	if results[0] != results[1] {
+		t.Errorf("legacy shards field changed the result:\n--- with ---\n%s\n--- without ---\n%s", results[0], results[1])
 	}
 }
 

@@ -59,7 +59,6 @@ type analyzeRequest struct {
 	Threshold    uint64  `json:"threshold,omitempty"`
 	CliqueBudget int     `json:"clique_budget,omitempty"`
 	Workers      int     `json:"workers,omitempty"`
-	Shards       int     `json:"shards,omitempty"`
 	Markdown     bool    `json:"markdown,omitempty"`
 	Check        bool    `json:"check,omitempty"`
 }
@@ -72,8 +71,6 @@ func (r *analyzeRequest) validate() error {
 		return fmt.Errorf("scale must be non-negative, got %g", r.Scale)
 	case r.Workers < 0:
 		return fmt.Errorf("workers must be non-negative, got %d", r.Workers)
-	case r.Shards < 0:
-		return fmt.Errorf("shards must be non-negative, got %d", r.Shards)
 	}
 	switch r.Kind {
 	case "", "all", "ablations", "extras", "static":
@@ -147,14 +144,13 @@ func executeJob(req analyzeRequest, m *obs.Metrics) (string, error) {
 		return runProgcheckJob(req.Program)
 	}
 	suite := harness.NewSuite(harness.Config{
-		Scale:         req.Scale,
-		Threshold:     req.Threshold,
-		CliqueBudget:  req.CliqueBudget,
-		Check:         req.Check,
-		Workers:       req.Workers,
-		ProfileShards: req.Shards,
-		ProgCheck:     req.ProgCheck,
-		Metrics:       m,
+		Scale:        req.Scale,
+		Threshold:    req.Threshold,
+		CliqueBudget: req.CliqueBudget,
+		Check:        req.Check,
+		Workers:      req.Workers,
+		ProgCheck:    req.ProgCheck,
+		Metrics:      m,
 	})
 	var buf bytes.Buffer
 	var err error

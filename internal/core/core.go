@@ -71,13 +71,10 @@ type AnalysisConfig struct {
 	// sets. The paper's statistics concern interacting branches, so the
 	// default (false) excludes them; the number excluded is reported.
 	IncludeSingletons bool
-	// Workers splits maximal-clique enumeration across a worker pool
-	// (top-level Bron-Kerbosch subtrees); <= 1 enumerates serially. The
-	// extracted sets are identical for any value — results merge through
-	// a canonical sort (see graph.MaximalCliquesParallel).
+	// Deprecated: ignored; clique enumeration is always serial.
 	Workers int
-	// Metrics, when non-nil, records clique-enumeration effort (subtask
-	// counts, budget steps, truncations). Never affects the result.
+	// Metrics, when non-nil, records clique-enumeration effort (budget
+	// steps, cliques, truncations). Never affects the result.
 	Metrics *obs.CliqueMetrics
 }
 
@@ -174,7 +171,7 @@ func Analyze(p *profile.Profile, cfg AnalysisConfig) (*AnalysisResult, error) {
 	truncated := false
 	switch cfg.Definition {
 	case MaximalCliques:
-		res := g.MaximalCliquesObs(cfg.CliqueBudget, cfg.IncludeSingletons, cfg.Workers, cfg.Metrics)
+		res := g.MaximalCliquesObs(cfg.CliqueBudget, cfg.IncludeSingletons, cfg.Metrics)
 		cliques, truncated = res.Cliques, res.Truncated
 	case GreedyPartition:
 		cliques = g.GreedyCliquePartition(cfg.IncludeSingletons)

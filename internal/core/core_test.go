@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -70,6 +71,36 @@ func TestAnalyzeTwoCliques(t *testing.T) {
 	}
 	if res.Truncated {
 		t.Fatal("tiny analysis truncated")
+	}
+}
+
+// TestAnalyzeTruncationDeterministic starves the clique budget: the
+// truncated working sets must be identical across calls and for either
+// value of the deprecated Workers knob, because enumeration is serial.
+func TestAnalyzeTruncationDeterministic(t *testing.T) {
+	pairs := append(cliquePairs(500, 0, 1, 2, 3), cliquePairs(500, 3, 4, 5)...)
+	pairs = append(pairs, cliquePairs(500, 6, 7, 8)...)
+	pairs = append(pairs, cliquePairs(500, 9, 10, 11)...)
+	p := buildProfile(mixed(12, 1000), pairs)
+	var want *AnalysisResult
+	for _, workers := range []int{1, 4, 1, 4} {
+		res, err := Analyze(p, AnalysisConfig{CliqueBudget: 6, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Truncated {
+			t.Fatalf("workers=%d: budget 6 did not truncate", workers)
+		}
+		if want == nil {
+			want = res
+			continue
+		}
+		if !reflect.DeepEqual(res.Sets, want.Sets) {
+			t.Fatalf("workers=%d: truncated sets %v, want %v", workers, res.Sets, want.Sets)
+		}
+	}
+	if n := want.NumSets(); n == 0 || n >= 4 {
+		t.Fatalf("truncated analysis kept %d of 4 sets, want a proper non-empty subset", n)
 	}
 }
 

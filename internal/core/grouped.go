@@ -116,7 +116,7 @@ func AnalyzeGrouped(p *profile.Profile, cfg AnalysisConfig, th classify.Threshol
 	truncated := false
 	switch cfg.Definition {
 	case MaximalCliques:
-		res := g.MaximalCliquesParallel(cfg.CliqueBudget, cfg.IncludeSingletons, cfg.Workers)
+		res := g.MaximalCliques(cfg.CliqueBudget, cfg.IncludeSingletons)
 		cliques, truncated = res.Cliques, res.Truncated
 	case GreedyPartition:
 		cliques = g.GreedyCliquePartition(cfg.IncludeSingletons)

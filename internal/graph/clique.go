@@ -3,8 +3,6 @@ package graph
 import (
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -12,9 +10,8 @@ import (
 // CliqueResult holds the outcome of working-set extraction.
 type CliqueResult struct {
 	// Cliques are the extracted node sets, each sorted ascending, and
-	// the whole list in lexicographic order — a canonical order shared
-	// by the serial and parallel enumerators, so downstream output never
-	// depends on traversal or scheduling.
+	// the whole list in lexicographic order, so downstream output never
+	// depends on traversal order.
 	Cliques [][]int32
 	// Truncated is true if the enumeration budget was exhausted before
 	// all maximal cliques were produced. Callers must surface this —
@@ -39,60 +36,37 @@ const DefaultCliqueBudget = 5_000_000
 // working set of its own.
 //
 // budget caps the total number of recursion steps; <= 0 selects
-// DefaultCliqueBudget.
+// DefaultCliqueBudget. Enumeration is serial, so a truncated result is
+// deterministic too: the same budget always stops at the same step and
+// returns the same cliques.
 func (g *Graph) MaximalCliques(budget int, includeSingletons bool) CliqueResult {
-	return g.MaximalCliquesParallel(budget, includeSingletons, 1)
+	return g.MaximalCliquesObs(budget, includeSingletons, nil)
 }
 
-// MaximalCliquesParallel is MaximalCliques with the enumeration split
-// across up to workers goroutines. The split happens at the root of the
-// Bron-Kerbosch recursion: the top-level pivot's candidate branches are
-// materialized as independent subtasks (each with its own candidate and
-// exclusion snapshot) and farmed out to a worker pool sharing one atomic
-// step budget. Subtask results are merged through the same canonical
-// sort the serial path uses, so the output is byte-identical for any
-// worker count whenever the budget is not exhausted. Under exhaustion
-// both modes report Truncated, but the enumerated subset may differ —
-// truncated counts are lower bounds either way.
-//
-// workers <= 1 runs the exact serial enumeration.
-func (g *Graph) MaximalCliquesParallel(budget int, includeSingletons bool, workers int) CliqueResult {
-	return g.MaximalCliquesObs(budget, includeSingletons, workers, nil)
-}
-
-// MaximalCliquesObs is MaximalCliquesParallel with enumeration-effort
-// metrics: subtasks spawned, budget steps consumed, cliques reported,
-// and truncation events are recorded into m (nil disables recording —
-// the enumeration itself is identical either way).
-func (g *Graph) MaximalCliquesObs(budget int, includeSingletons bool, workers int, m *obs.CliqueMetrics) CliqueResult {
+// MaximalCliquesObs is MaximalCliques with enumeration-effort metrics:
+// budget steps consumed, cliques reported, and truncation events are
+// recorded into m (nil disables recording — the enumeration itself is
+// identical either way).
+func (g *Graph) MaximalCliquesObs(budget int, includeSingletons bool, m *obs.CliqueMetrics) CliqueResult {
 	if budget <= 0 {
 		budget = DefaultCliqueBudget
 	}
-	comps := g.Components()
-	var res CliqueResult
-	var subtasks int
-	var steps int64
-	if workers <= 1 {
-		e := &cliqueEnum{budget: budget}
-		for _, comp := range comps {
-			if len(comp) == 1 {
-				if includeSingletons {
-					e.out = append(e.out, []int32{comp[0]})
-				}
-				continue
+	e := &cliqueEnum{budget: budget}
+	for _, comp := range g.Components() {
+		if len(comp) == 1 {
+			if includeSingletons {
+				e.out = append(e.out, []int32{comp[0]})
 			}
-			e.runComponent(g, comp)
-			if e.exhausted {
-				break
-			}
+			continue
 		}
-		res = CliqueResult{Cliques: e.out, Truncated: e.exhausted}
-		steps = int64(budget - e.budget)
-	} else {
-		res, subtasks, steps = g.parallelCliques(budget, includeSingletons, workers, comps)
+		e.runComponent(g, comp)
+		if e.exhausted {
+			break
+		}
 	}
+	res := CliqueResult{Cliques: e.out, Truncated: e.exhausted}
 	sortCliques(res.Cliques)
-	m.Record(subtasks, steps, len(res.Cliques), res.Truncated)
+	m.Record(int64(budget-e.budget), len(res.Cliques), res.Truncated)
 	return res
 }
 
@@ -118,7 +92,6 @@ func lessInt32s(a, b []int32) bool {
 
 type cliqueEnum struct {
 	budget    int
-	shared    *atomic.Int64 // non-nil in parallel mode: pooled step budget
 	exhausted bool
 	out       [][]int32
 
@@ -130,13 +103,6 @@ type cliqueEnum struct {
 // take consumes one enumeration step from the budget, reporting whether
 // the caller may proceed.
 func (e *cliqueEnum) take() bool {
-	if e.shared != nil {
-		if e.shared.Add(-1) < 0 {
-			e.exhausted = true
-			return false
-		}
-		return true
-	}
 	if e.budget <= 0 {
 		e.exhausted = true
 		return false
@@ -147,8 +113,7 @@ func (e *cliqueEnum) take() bool {
 
 // componentCtx builds the dense local id space and bitset adjacency
 // matrix for one connected component, making the Bron-Kerbosch set
-// operations word-parallel. The rows are read-only during enumeration,
-// so parallel subtasks share them safely.
+// operations word-parallel.
 func componentCtx(g *Graph, comp []int32) (adj []bitset) {
 	m := len(comp)
 	adj = make([]bitset, m)
@@ -227,102 +192,6 @@ func pivotOf(p, x bitset, adj []bitset) (pivot int32, count int) {
 	p.forEach(consider)
 	x.forEach(consider)
 	return pivot, count
-}
-
-// cliqueTask is one root-level Bron-Kerbosch subtree: a candidate branch
-// of the top-level pivot with its candidate/exclusion snapshots. Tasks
-// are independent — their bitsets are private copies and the shared adj
-// rows are read-only.
-type cliqueTask struct {
-	global []int32
-	adj    []bitset
-	r      []int32
-	p, x   bitset
-}
-
-// parallelCliques splits enumeration at the top-level pivot branches of
-// every component and runs the subtrees on a worker pool. The subtask
-// snapshots are derived sequentially in the same candidate order the
-// serial code iterates, so together they cover exactly the serial
-// recursion's root branches. Besides the result it reports the number
-// of subtasks spawned and the budget steps consumed, for metrics.
-func (g *Graph) parallelCliques(budget int, includeSingletons bool, workers int, comps [][]int32) (CliqueResult, int, int64) {
-	shared := new(atomic.Int64)
-	shared.Store(int64(budget))
-
-	var out [][]int32
-	var tasks []cliqueTask
-	for _, comp := range comps {
-		if len(comp) == 1 {
-			if includeSingletons {
-				out = append(out, []int32{comp[0]})
-			}
-			continue
-		}
-		m := len(comp)
-		adj := componentCtx(g, comp)
-		p := newBitset(m)
-		for i := 0; i < m; i++ {
-			p.set(int32(i))
-		}
-		x := newBitset(m)
-		// One budget step per component root, mirroring the serial root
-		// expand call.
-		shared.Add(-1)
-		pivot, _ := pivotOf(p, x, adj)
-		cands := newBitset(m)
-		cands.andNot(p, adj[pivot])
-		scratch := newBitset(m)
-		cands.forEach(func(v int32) bool {
-			scratch.intersect(p, adj[v])
-			newP := scratch.clone()
-			scratch.intersect(x, adj[v])
-			newX := scratch.clone()
-			tasks = append(tasks, cliqueTask{comp, adj, []int32{v}, newP, newX})
-			p.clear(v)
-			x.set(v)
-			return true
-		})
-	}
-
-	outs := make([][][]int32, len(tasks))
-	var exhausted atomic.Bool
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				t := tasks[i]
-				e := &cliqueEnum{shared: shared, global: t.global, adj: t.adj}
-				e.expand(t.r, t.p, t.x)
-				outs[i] = e.out
-				if e.exhausted {
-					exhausted.Store(true)
-				}
-			}
-		}()
-	}
-	for i := range tasks {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
-	for _, o := range outs {
-		out = append(out, o...)
-	}
-	// Remaining budget clamps at zero: exhaustion can drive the shared
-	// counter negative by up to one step per worker.
-	remaining := shared.Load()
-	if remaining < 0 {
-		remaining = 0
-	}
-	return CliqueResult{Cliques: out, Truncated: exhausted.Load()}, len(tasks), int64(budget) - remaining
 }
 
 // GreedyCliquePartition partitions the nodes of g into disjoint cliques:

@@ -44,7 +44,6 @@ func (s *Suite) AblationThreshold(benchmarks []string, thresholds []uint64) ([]T
 			res, err := core.Analyze(a.Profile, core.AnalysisConfig{
 				Threshold:    th,
 				CliqueBudget: s.cfg.CliqueBudget,
-				Workers:      s.cfg.ProfileShards,
 			})
 			if err != nil {
 				return nil, err
@@ -94,7 +93,6 @@ func (s *Suite) AblationDefinition(benchmarks []string) ([]DefinitionRow, error)
 			Threshold:    s.cfg.Threshold,
 			Definition:   core.MaximalCliques,
 			CliqueBudget: s.cfg.CliqueBudget,
-			Workers:      s.cfg.ProfileShards,
 		})
 		if err != nil {
 			return DefinitionRow{}, err
@@ -140,7 +138,6 @@ func (s *Suite) AblationGrouped(benchmarks []string) ([]GroupedRow, error) {
 		ind, err := core.Analyze(a.Profile, core.AnalysisConfig{
 			Threshold:    s.cfg.Threshold,
 			CliqueBudget: s.cfg.CliqueBudget,
-			Workers:      s.cfg.ProfileShards,
 		})
 		if err != nil {
 			return GroupedRow{}, err
@@ -148,7 +145,6 @@ func (s *Suite) AblationGrouped(benchmarks []string) ([]GroupedRow, error) {
 		grp, err := core.AnalyzeGrouped(a.Profile, core.AnalysisConfig{
 			Threshold:    s.cfg.Threshold,
 			CliqueBudget: s.cfg.CliqueBudget,
-			Workers:      s.cfg.ProfileShards,
 		}, classify.Default())
 		if err != nil {
 			return GroupedRow{}, err
@@ -194,7 +190,7 @@ func (s *Suite) AblationWindow(benchmark string, windows []int) ([]WindowRow, er
 	profilers := make([]*profile.Profiler, len(windows))
 	fan := make(vm.MultiSink, len(windows))
 	for i, w := range windows {
-		opts := []profile.Option{profile.WithShards(s.cfg.ProfileShards)}
+		var opts []profile.Option
 		if w > 0 {
 			opts = append(opts, profile.WithWindow(w))
 		}
@@ -211,7 +207,6 @@ func (s *Suite) AblationWindow(benchmark string, windows []int) ([]WindowRow, er
 		res, err := core.Analyze(p, core.AnalysisConfig{
 			Threshold:    s.cfg.Threshold,
 			CliqueBudget: s.cfg.CliqueBudget,
-			Workers:      s.cfg.ProfileShards,
 		})
 		if err != nil {
 			return nil, err

@@ -25,7 +25,7 @@ func TestMetricsDoNotPerturbOutput(t *testing.T) {
 	render := func(m *obs.Metrics) string {
 		// Scale 0.02 keeps the double full-suite run affordable under
 		// -race; the byte-identity property is scale-independent.
-		s := NewSuite(Config{Scale: 0.02, ProfileShards: 3, Metrics: m})
+		s := NewSuite(Config{Scale: 0.02, Metrics: m})
 		var buf bytes.Buffer
 		if err := RunAll(s, &buf, false); err != nil {
 			t.Fatal(err)
@@ -47,7 +47,7 @@ func TestMetricsDoNotPerturbOutput(t *testing.T) {
 // count, and the pair-increment total the pair table's total weight.
 func TestStreamedCountersExact(t *testing.T) {
 	reg := metricsRegistry()
-	s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: 1, Metrics: obs.New(reg)})
+	s := NewSuite(Config{Scale: 0.05, Workers: 1, Metrics: obs.New(reg)})
 	a, err := s.Artifacts("li", workload.InputRef)
 	if err != nil {
 		t.Fatal(err)
@@ -82,11 +82,11 @@ func TestStreamedCountersExact(t *testing.T) {
 	}
 }
 
-// TestShardedCountersMatchSerial re-runs the same benchmark with
-// sharded profiling and checks the semantic counters (events, pair
-// increments, merged pairs) are identical to the serial run —
-// sharding must redistribute the work, not change it. Only the
-// operational series (batch counts, queue depth) may differ.
+// TestShardedCountersMatchSerial checks that the deprecated
+// ProfileShards knob, which callers may still set, leaves the run
+// untouched: every counter — the semantic ones (events, pair
+// increments, merged pairs) and the staging batch count alike — equals
+// the default run's.
 func TestShardedCountersMatchSerial(t *testing.T) {
 	run := func(shards int) *obs.Registry {
 		reg := metricsRegistry()
@@ -96,19 +96,20 @@ func TestShardedCountersMatchSerial(t *testing.T) {
 		}
 		return reg
 	}
-	serial, sharded := run(1), run(3)
+	serial, sharded := run(0), run(3)
 	for _, name := range []string{
 		"wsd_vm_instructions_total",
 		"wsd_profile_events_total",
 		"wsd_profile_pair_increments_total",
 		"wsd_profile_merged_pairs_total",
+		"wsd_profile_shard_batches_total",
 	} {
 		if s, p := serial.Counter(name).Value(), sharded.Counter(name).Value(); s != p {
-			t.Errorf("%s: serial %d != sharded %d", name, s, p)
+			t.Errorf("%s: default %d != ProfileShards=3 %d", name, s, p)
 		}
 	}
-	if sharded.Counter("wsd_profile_shard_batches_total").Value() == 0 {
-		t.Error("sharded run recorded no shard batches")
+	if serial.Counter("wsd_profile_shard_batches_total").Value() == 0 {
+		t.Error("run recorded no staging batches")
 	}
 }
 
@@ -118,7 +119,7 @@ func TestShardedCountersMatchSerial(t *testing.T) {
 // × per-row branches, and hits + mispredicts must partition it.
 func TestFigurePredictFlushExact(t *testing.T) {
 	reg := metricsRegistry()
-	s := NewSuite(Config{Scale: 0.02, Workers: 1, ProfileShards: 1, Metrics: obs.New(reg)})
+	s := NewSuite(Config{Scale: 0.02, Workers: 1, Metrics: obs.New(reg)})
 	res, err := s.Figure3()
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +148,7 @@ func TestFigurePredictFlushExact(t *testing.T) {
 // benchmarks it touched.
 func TestStageSpansRecorded(t *testing.T) {
 	reg := metricsRegistry()
-	s := NewSuite(Config{Scale: 0.02, Workers: 1, ProfileShards: 1, Metrics: obs.New(reg)})
+	s := NewSuite(Config{Scale: 0.02, Workers: 1, Metrics: obs.New(reg)})
 	if _, err := s.Table2(); err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func recordReplayOracle(t *testing.T, s *Suite, benchmark string, input workload
 }
 
 // TestArtifactsMatchRecordReplayOracle checks the streamed pipeline —
-// a counting execution, then a filtered re-execution into a sharded
+// a counting execution, then a filtered re-execution into the
 // profiler — against record-then-replay: the same VM statistics, filter
 // counts and interleave profile.
 func TestArtifactsMatchRecordReplayOracle(t *testing.T) {

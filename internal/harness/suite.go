@@ -70,13 +70,8 @@ type Config struct {
 	// 0 means GOMAXPROCS, 1 runs strictly serially. Results merge in
 	// fixed benchmark order, so rendered output does not depend on it.
 	Workers int
-	// ProfileShards parallelizes the intra-benchmark hot paths: the
-	// profiler's pair-count updates fan out to this many shard-local
-	// tables applied by worker goroutines, and maximal-clique
-	// enumeration splits its top-level Bron-Kerbosch subtrees across the
-	// same number of workers. 0 means GOMAXPROCS; 1 runs the exact
-	// serial code paths. Output is byte-identical for any value
-	// (DESIGN.md §11).
+	// Deprecated: ignored; pair accumulation and clique mining are
+	// always serial within a benchmark (DESIGN.md §11).
 	ProfileShards int
 	// Deprecated: ignored; execution is always streamed.
 	Fused bool
@@ -125,18 +120,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.ProfileShards <= 0 {
-		c.ProfileShards = runtime.GOMAXPROCS(0)
-	}
-	// Sharding the profiler beyond the machine's parallelism is pure
-	// overhead: the workers time-slice one another while the staging
-	// and hand-off costs stay. Clamp here (the suite's resolved
-	// config) rather than in the profiler, so direct profile.WithShards
-	// callers — differential tests, the bench sweep — keep exact
-	// control of P.
-	if max := runtime.GOMAXPROCS(0); c.ProfileShards > max {
-		c.ProfileShards = max
 	}
 	return c
 }
@@ -300,8 +283,7 @@ func (s *Suite) computeProfile(c *Artifacts) (*Artifacts, error) {
 	profSpan := s.stageSpan(c.Spec.Name, "profile")
 	defer profSpan.End()
 	prof := profile.NewProfiler(c.Spec.Name, c.Input.Name,
-		profile.WithWindow(window), profile.WithShards(s.cfg.ProfileShards),
-		profile.WithMetrics(s.cfg.Metrics.Profile()))
+		profile.WithWindow(window), profile.WithMetrics(s.cfg.Metrics.Profile()))
 	// The filtered stream holds exactly the kept static branches, so
 	// that is the count the profiler's rows are sized to.
 	prof.Reserve(c.Filter.StaticKept)

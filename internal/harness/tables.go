@@ -70,7 +70,6 @@ func (s *Suite) Table2() ([]Table2Row, error) {
 			Threshold:    s.cfg.Threshold,
 			Definition:   core.MaximalCliques,
 			CliqueBudget: s.cfg.CliqueBudget,
-			Workers:      s.cfg.ProfileShards,
 			Metrics:      s.cfg.Metrics.Clique(),
 		})
 		span.End()

@@ -35,13 +35,11 @@ func New(r *Registry) *Metrics {
 			Events:         r.Counter("wsd_profile_events_total"),
 			PairIncrements: r.Counter("wsd_profile_pair_increments_total"),
 			ShardBatches:   r.Counter("wsd_profile_shard_batches_total"),
-			ShardQueueMax:  r.Gauge("wsd_profile_shard_queue_depth_max"),
 			Merges:         r.Counter("wsd_profile_merges_total"),
 			MergeNanos:     r.Counter("wsd_profile_merge_ns_total"),
 			MergedPairs:    r.Counter("wsd_profile_merged_pairs_total"),
 		},
 		clique: &CliqueMetrics{
-			Subtasks:    r.Counter("wsd_clique_subtasks_total"),
 			Steps:       r.Counter("wsd_clique_steps_total"),
 			Cliques:     r.Counter("wsd_clique_cliques_total"),
 			Truncations: r.Counter("wsd_clique_truncations_total"),
@@ -121,15 +119,14 @@ func (m *VMMetrics) RecordRun(instructions, branches, taken uint64) {
 	m.Taken.Add(taken)
 }
 
-// ProfileMetrics counts profiler events, shard-queue behaviour, and
+// ProfileMetrics counts profiler events, staging-batch applies, and
 // merge work. Events and PairIncrements are bumped on the profiler hot
 // path — they are plain atomic adds on pre-resolved counters.
 type ProfileMetrics struct {
 	clock          Clock
 	Events         *Counter
 	PairIncrements *Counter
-	ShardBatches   *Counter
-	ShardQueueMax  *Gauge
+	ShardBatches   *Counter // staging batches applied to the rows
 	Merges         *Counter
 	MergeNanos     *Counter
 	MergedPairs    *Counter
@@ -137,7 +134,7 @@ type ProfileMetrics struct {
 
 func noopMergeDone(int) {}
 
-// StartMerge times one shard-merge; the returned func records the
+// StartMerge times one profile extraction; the returned func records the
 // elapsed time and the merged pair count. Always returns a callable.
 func (m *ProfileMetrics) StartMerge() func(pairs int) {
 	if m == nil {
@@ -161,21 +158,17 @@ func (m *ProfileMetrics) StartMerge() func(pairs int) {
 
 // CliqueMetrics counts Bron–Kerbosch enumeration effort.
 type CliqueMetrics struct {
-	Subtasks    *Counter
 	Steps       *Counter
 	Cliques     *Counter
 	Truncations *Counter
 }
 
-// Record adds one enumeration's totals: parallel subtasks spawned,
-// recursion steps consumed from the budget, cliques reported, and
-// whether the budget truncated the enumeration.
-func (m *CliqueMetrics) Record(subtasks int, steps int64, cliques int, truncated bool) {
+// Record adds one enumeration's totals: recursion steps consumed from
+// the budget, cliques reported, and whether the budget truncated the
+// enumeration.
+func (m *CliqueMetrics) Record(steps int64, cliques int, truncated bool) {
 	if m == nil {
 		return
-	}
-	if subtasks > 0 {
-		m.Subtasks.Add(uint64(subtasks))
 	}
 	if steps > 0 {
 		m.Steps.Add(uint64(steps))

@@ -26,14 +26,14 @@ func nonzero(row []uint32) int {
 // initial length — by half again the ids discovered, capped at a
 // reserved static count that covers them — without losing counts.
 func TestNbrCounterHas(t *testing.T) {
-	s := newPairShards(1)
-	s.drain()
-	if len(s.tabs[0]) != 0 {
+	s := &pairAccum{}
+	s.flush()
+	if len(s.rows) != 0 {
 		t.Fatal("empty engine holds rows")
 	}
 	s.emit(0, []int32{3, 1, 3, 8}, 10)
-	s.drain()
-	row := s.tabs[0][0]
+	s.flush()
+	row := s.rows[0]
 	if len(row) != 15 {
 		t.Fatalf("row length %d, want 15 for 10 ids discovered", len(row))
 	}
@@ -41,14 +41,14 @@ func TestNbrCounterHas(t *testing.T) {
 		t.Fatalf("row %v, want counts 3:2 1:1 8:1", row)
 	}
 	s.emit(0, []int32{14}, 15)
-	s.drain()
-	if len(s.tabs[0][0]) != 15 {
-		t.Fatalf("row regrew to %d with room to spare", len(s.tabs[0][0]))
+	s.flush()
+	if len(s.rows[0]) != 15 {
+		t.Fatalf("row regrew to %d with room to spare", len(s.rows[0]))
 	}
 
 	s.emit(0, []int32{1000, 3}, 1001)
-	s.drain()
-	row = s.tabs[0][0]
+	s.flush()
+	row = s.rows[0]
 	if len(row) != 1501 {
 		t.Fatalf("grown row length %d, want 1501", len(row))
 	}
@@ -58,16 +58,15 @@ func TestNbrCounterHas(t *testing.T) {
 
 	// A reserve caps growth once it covers the ids discovered; an
 	// underestimate is outgrown like no reserve at all.
-	s = newPairShards(1)
-	s.reserve = 50
+	s = &pairAccum{reserve: 50}
 	s.emit(2, []int32{0}, 40)
-	s.drain()
-	if row := s.tabs[0][2]; len(row) != 50 || row[0] != 1 || nonzero(row) != 1 {
+	s.flush()
+	if row := s.rows[2]; len(row) != 50 || row[0] != 1 || nonzero(row) != 1 {
 		t.Fatalf("reserved row length %d, %d nonzero", len(row), nonzero(row))
 	}
 	s.emit(2, []int32{59}, 60)
-	s.drain()
-	if row := s.tabs[0][2]; len(row) != 90 || row[0] != 1 || row[59] != 1 || nonzero(row) != 2 {
+	s.flush()
+	if row := s.rows[2]; len(row) != 90 || row[0] != 1 || row[59] != 1 || nonzero(row) != 2 {
 		t.Fatalf("row past the reserve: length %d, %d nonzero", len(row), nonzero(row))
 	}
 }
@@ -96,27 +95,25 @@ func TestProfileCountLimit(t *testing.T) {
 }
 
 // TestExtractionExactSizing guards extraction's memory: after Profile()
-// every backing array of Pairs has cap == len, for serial and sharded
-// accumulation alike. A pair split across both endpoints' neighbor
-// counters must be counted once, and nothing may size by doubling.
+// every backing array of Pairs has cap == len. A pair split across both
+// endpoints' neighbor rows must be counted once, and nothing may size
+// by doubling.
 func TestExtractionExactSizing(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		p := NewProfiler("t", "ref", WithShards(shards))
-		naive := NewNaiveProfiler("t", "ref")
-		r := rng.New(11)
-		icount := uint64(0)
-		for i := 0; i < 20000; i++ {
-			icount += uint64(r.Intn(5) + 1)
-			pc := uint64(r.Intn(64)+1) * 4
-			taken := r.Intn(2) == 0
-			p.Branch(pc, taken, icount)
-			naive.Branch(pc, taken, icount)
-		}
-		prof := p.Profile()
-		checkExact(t, "profiler", prof.Pairs)
-		if got, want := prof.Pairs.Len(), naive.Profile().Pairs.Len(); got != want {
-			t.Fatalf("shards=%d: extracted %d pairs, reference %d", shards, got, want)
-		}
+	p := NewProfiler("t", "ref")
+	naive := NewNaiveProfiler("t", "ref")
+	r := rng.New(11)
+	icount := uint64(0)
+	for i := 0; i < 20000; i++ {
+		icount += uint64(r.Intn(5) + 1)
+		pc := uint64(r.Intn(64)+1) * 4
+		taken := r.Intn(2) == 0
+		p.Branch(pc, taken, icount)
+		naive.Branch(pc, taken, icount)
+	}
+	prof := p.Profile()
+	checkExact(t, "profiler", prof.Pairs)
+	if got, want := prof.Pairs.Len(), naive.Profile().Pairs.Len(); got != want {
+		t.Fatalf("extracted %d pairs, reference %d", got, want)
 	}
 }
 
@@ -175,8 +172,8 @@ func TestReserveSizesRows(t *testing.T) {
 		t.Fatal("a reserve changed the profile")
 	}
 	rows := 0
-	for id := range exact.pcs {
-		if row := exact.nbrOf(int32(id)); row != nil {
+	for id, row := range exact.acc.rows {
+		if row != nil {
 			rows++
 			if len(row) != static {
 				t.Fatalf("row %d has %d cells, want the reserved %d", id, len(row), static)

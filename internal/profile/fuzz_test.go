@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // decodeStream turns an arbitrary byte string into a branch stream and
@@ -45,13 +46,12 @@ func checkExact(t *testing.T, what string, g *graph.Graph) {
 	}
 }
 
-// FuzzExtraction feeds decoded branch streams to the Profiler (one and
-// two shards, unbounded and with a small window) and to the
-// NaiveProfiler, the paper's literal time-stamp scan. Unbounded
-// extraction must give the naive reference's CSR rows exactly, whatever
-// the shard count; windowed extraction must agree across shard counts
-// and never count more interleavings for a pair than the unbounded
-// scan; every extracted graph is exactly sized.
+// FuzzExtraction feeds decoded branch streams to the Profiler
+// (unbounded and with a small window) and to the NaiveProfiler, the
+// paper's literal time-stamp scan, clipped to the same window.
+// Extraction must give the reference's CSR rows exactly; a windowed
+// scan never counts more interleavings for a pair than the unbounded
+// one; every extracted graph is exactly sized.
 func FuzzExtraction(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 0, 1, 2, 0, 1, 2, 0x80, 0x81, 0x82})
@@ -59,48 +59,43 @@ func FuzzExtraction(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pcs, taken, window := decodeStream(data)
 		naive := NewNaiveProfiler("fuzz", "ref")
-		profilers := map[string]*Profiler{}
-		for _, shards := range []int{1, 2} {
-			profilers[fmt.Sprintf("shards=%d", shards)] = NewProfiler("fuzz", "ref", WithShards(shards))
-			profilers[fmt.Sprintf("shards=%d/window=%d", shards, window)] =
-				NewProfiler("fuzz", "ref", WithShards(shards), WithWindow(window))
-		}
+		naiveW := NewNaiveProfiler("fuzz", "ref")
+		naiveW.window = window
+		full := NewProfiler("fuzz", "ref")
+		windowed := NewProfiler("fuzz", "ref", WithWindow(window))
 		for i, pc := range pcs {
-			naive.Branch(pc, taken[i], uint64(i))
-			for _, p := range profilers {
-				p.Branch(pc, taken[i], uint64(i))
+			for _, s := range []interface {
+				Branch(pc uint64, taken bool, icount uint64)
+			}{naive, naiveW, full, windowed} {
+				s.Branch(pc, taken[i], uint64(i))
 			}
 		}
 		want := naive.Profile()
 		checkExact(t, "naive", want.Pairs)
-		got := map[string]*Profile{}
-		for name, p := range profilers {
-			prof := p.Profile()
-			checkExact(t, name, prof.Pairs)
+		for _, c := range []struct {
+			name      string
+			got, want *Profile
+		}{
+			{"unbounded", full.Profile(), want},
+			{fmt.Sprintf("window=%d", window), windowed.Profile(), naiveW.Profile()},
+		} {
+			prof := c.got
+			checkExact(t, c.name, prof.Pairs)
 			if !slices.Equal(prof.PCs, want.PCs) || !slices.Equal(prof.Exec, want.Exec) || !slices.Equal(prof.Taken, want.Taken) {
-				t.Fatalf("%s: per-branch stats differ from the naive reference", name)
+				t.Fatalf("%s: per-branch stats differ from the naive reference", c.name)
 			}
 			if prof.Pairs.Len() != prof.Pairs.NumEdges() {
-				t.Fatalf("%s: Len %d != NumEdges %d", name, prof.Pairs.Len(), prof.Pairs.NumEdges())
+				t.Fatalf("%s: Len %d != NumEdges %d", c.name, prof.Pairs.Len(), prof.Pairs.NumEdges())
 			}
-			got[name] = prof
-		}
-		wantDump := pairDump(want.Pairs)
-		for _, name := range []string{"shards=1", "shards=2"} {
-			if d := pairDump(got[name].Pairs); d != wantDump {
-				t.Fatalf("%s rows differ from the naive reference:\n%s\nwant:\n%s", name, d, wantDump)
+			if d, w := pairDump(prof.Pairs), pairDump(c.want.Pairs); d != w {
+				t.Fatalf("%s rows differ from the naive reference:\n%s\nwant:\n%s", c.name, d, w)
 			}
-		}
-		w1 := got[fmt.Sprintf("shards=1/window=%d", window)].Pairs
-		w2 := got[fmt.Sprintf("shards=2/window=%d", window)].Pairs
-		if pairDump(w1) != pairDump(w2) {
-			t.Fatalf("window %d: rows differ between one and two shards", window)
-		}
-		for u := int32(0); int(u) < w1.N(); u++ {
-			nbrs, wts := w1.Neighbors(u)
-			for i, v := range nbrs {
-				if full := want.Pairs.Weight(u, v); wts[i] > full {
-					t.Fatalf("window %d: pair %d-%d counted %d, unbounded %d", window, u, v, wts[i], full)
+			for u := int32(0); int(u) < prof.Pairs.N(); u++ {
+				nbrs, wts := prof.Pairs.Neighbors(u)
+				for i, v := range nbrs {
+					if full := want.Pairs.Weight(u, v); wts[i] > full {
+						t.Fatalf("%s: pair %d-%d counted %d, unbounded %d", c.name, u, v, wts[i], full)
+					}
 				}
 			}
 		}
@@ -177,19 +172,26 @@ func TestMergeOrderInvariance(t *testing.T) {
 }
 
 // TestShardDrainOrderInvariance checks the same property one level up:
-// profilers whose shard counts force different worker partitions and
-// merge orders still drain to identical profiles.
+// profilers that extract at different points mid-stream apply their
+// staging batches at different boundaries, and still drain to
+// identical final profiles.
 func TestShardDrainOrderInvariance(t *testing.T) {
 	var dumps []string
-	for _, shards := range []int{1, 2, 3, 5, 8} {
-		p := NewProfiler("synth", "ref", WithShards(shards))
-		synthStream(20_000, 1234, p)
+	for _, every := range []int{0, 997, 2_500, 5_000, 19_999} {
+		p := NewProfiler("synth", "ref")
+		r := rng.New(1234)
+		for i := 0; i < 20_000; i++ {
+			p.Branch(0x1000+4*(r.Uint64()%300), r.Uint64()%3 == 0, uint64(i))
+			if every > 0 && i%every == every-1 {
+				p.Profile()
+			}
+		}
 		prof := p.Profile()
 		dumps = append(dumps, fmt.Sprintf("branches=%d\n%s", prof.NumBranches(), pairDump(prof.Pairs)))
 	}
 	for i := 1; i < len(dumps); i++ {
 		if dumps[i] != dumps[0] {
-			t.Fatalf("drained profile differs between shard configs 0 and %d", i)
+			t.Fatalf("drained profile differs between extraction schedules 0 and %d", i)
 		}
 	}
 }

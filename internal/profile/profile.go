@@ -10,8 +10,8 @@
 // reading the branches above A in a recency (move-to-front) stack:
 // exactly the distinct branches executed since A last executed. The
 // Profiler uses the stack form, whose cost per dynamic branch is the
-// reuse distance instead of the static branch count; NaiveProfiler keeps
-// the literal time-stamp scan for cross-validation.
+// reuse distance instead of the static branch count; the package tests
+// keep the literal time-stamp scan as a reference to cross-validate it.
 package profile
 
 import (

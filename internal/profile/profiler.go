@@ -31,7 +31,6 @@ type Profiler struct {
 	benchmark string
 	inputSet  string
 	window    int
-	numShards int
 
 	// Dense pc -> id translation. VM branch addresses are word-aligned
 	// instruction indexes, so idOf is indexed by pc/4 and covers the
@@ -53,17 +52,15 @@ type Profiler struct {
 	off  int
 	in   []bool
 
-	// shards is the accumulation engine (shard.go): the scan emits each
+	// acc is the accumulation engine (shard.go): the scan emits each
 	// event's partner prefix as one bulk copy into a staging batch, and
 	// batches are applied to per-branch neighbor rows grouped by
-	// destination — synchronously with one shard, by worker goroutines
-	// with more. nbrOf(id) reads a branch's row in either mode.
-	// One unordered pair (a,b) accumulates partly in a's row and partly
+	// destination. One unordered pair (a,b) accumulates partly in a's row and partly
 	// in b's; the halves are summed at extraction. The per-branch split
 	// plus grouped apply keeps the increment loop's working set to one
 	// branch's row (4 bytes per discovered branch, cache-resident)
 	// instead of the global pair population.
-	shards *pairShards
+	acc pairAccum
 
 	// metrics is the optional observability bundle; mEvents and mPairInc
 	// are its hot-path counters held directly so Branch performs at most
@@ -101,22 +98,15 @@ func WithWindow(depth int) Option {
 	return func(p *Profiler) { p.window = depth }
 }
 
-// WithShards selects how many workers accumulate the interleave
-// increments. n <= 1 keeps the serial per-branch rows — the exact
-// pre-sharding code path. n > 1 partitions the rows by executing
-// branch id across n worker goroutines; the merged profile is identical
-// for every n because each branch's row receives exactly the same
-// increment sequence it would serially (DESIGN.md §15).
-func WithShards(n int) Option {
-	return func(p *Profiler) {
-		if n > 1 {
-			p.numShards = n
-		}
-	}
+// WithShards is kept for source compatibility.
+//
+// Deprecated: ignored; pair accumulation is always serial (DESIGN.md §11).
+func WithShards(int) Option {
+	return func(*Profiler) {}
 }
 
 // WithMetrics attaches an observability bundle: event and pair-increment
-// counters on the hot path, shard queue metrics, and merge timings. A
+// counters on the hot path, batch-apply counts, and merge timings. A
 // nil bundle (the default) keeps every site a no-op.
 func WithMetrics(m *obs.ProfileMetrics) Option {
 	return func(p *Profiler) { p.metrics = m }
@@ -134,17 +124,7 @@ func NewProfiler(benchmark, inputSet string, opts ...Option) *Profiler {
 	if p.metrics != nil {
 		p.mEvents = p.metrics.Events
 		p.mPairInc = p.metrics.PairIncrements
-	}
-	n := p.numShards
-	if n < 1 {
-		n = 1
-	}
-	p.shards = newPairShards(n)
-	if p.metrics != nil {
-		// Serial mode runs the same staging engine, so batch applies are
-		// counted at every P; queue depth only exists with workers.
-		p.shards.batches = p.metrics.ShardBatches
-		p.shards.queueMax = p.metrics.ShardQueueMax
+		p.acc.batches = p.metrics.ShardBatches
 	}
 	return p
 }
@@ -155,7 +135,7 @@ func NewProfiler(benchmark, inputSet string, opts ...Option) *Profiler {
 // know the workload (harness, bench) reserve from the static branch
 // count of the stream they profile.
 func (p *Profiler) Reserve(n int) {
-	p.shards.reserve = max(p.shards.reserve, n)
+	p.acc.reserve = max(p.acc.reserve, n)
 	if n <= cap(p.pcs) {
 		return
 	}
@@ -171,11 +151,6 @@ func (p *Profiler) Reserve(n int) {
 
 // Window returns the configured scan window (0 = unbounded).
 func (p *Profiler) Window() int { return p.window }
-
-// Shards returns the configured shard count (1 = serial).
-func (p *Profiler) Shards() int {
-	return p.shards.p
-}
 
 // Branch consumes one dynamic branch event: first-touch discovery,
 // execution counters, the recency-list interleaving scan (the
@@ -214,7 +189,7 @@ func (p *Profiler) Branch(pc uint64, taken bool, icount uint64) {
 			emit = p.window
 		}
 		if emit > 0 {
-			p.shards.emit(id, live[:emit], len(live))
+			p.acc.emit(id, live[:emit], len(live))
 			p.mPairInc.Add(uint64(emit))
 		}
 		// Move to front: shift the prefix right one slot over id.
@@ -309,57 +284,27 @@ func (p *Profiler) growFront() {
 func (p *Profiler) Branches() uint64 { return p.branches }
 
 // TableBytes reports the memory held by the interleave accumulation
-// rows (the dense per-branch neighbor rows, in either mode): 4 bytes
-// per cell. A row spans its branch's highest partner id and at most
-// half again the ids discovered (never past an exact Reserve), so n
-// discovered branches hold at most 4 × n × 1.5n bytes — 4 × n² with an
-// exact reserve. It is the profiler's dominant footprint, recorded by
-// cmd/bench.
+// rows (the dense per-branch neighbor rows): 4 bytes per cell. A row
+// spans its branch's highest partner id and at most half again the ids
+// discovered (never past an exact Reserve), so n discovered branches
+// hold at most 4 × n × 1.5n bytes — 4 × n² with an exact reserve. It is
+// the profiler's dominant footprint, recorded by cmd/bench.
 func (p *Profiler) TableBytes() uint64 {
-	return p.shards.tableBytes()
-}
-
-// ShardTableBytes reports the extra memory sharded accumulation holds
-// beyond the serial path: the in-flight event batches and partition
-// bookkeeping (0 in serial mode). The neighbor rows themselves are the
-// same rows serial mode keeps, merely partitioned across workers, so
-// they are reported by TableBytes, not here. BENCH_3's 128 MB figure was
-// this quantity under the old design, which duplicated every pair into
-// shard-local tables.
-func (p *Profiler) ShardTableBytes() uint64 {
-	if p.numShards <= 1 {
-		return 0
-	}
-	return p.shards.overheadBytes()
+	return p.acc.tableBytes()
 }
 
 // SetInstructions records the run's total instruction count (otherwise
 // estimated from the last branch time stamp).
 func (p *Profiler) SetInstructions(n uint64) { p.instructions = n }
 
-// nbrOf returns branch id's neighbor row in either mode: row[v] is the
-// number of times v ran between two consecutive executions of id (id's
-// half of pair {id, v}). In sharded mode the row lives in the owning
-// worker's partition; callers must quiesce the workers first (drain).
-// The row may be nil or shorter than the id count: cells past its end
-// are zero.
-func (p *Profiler) nbrOf(id int32) []uint32 {
-	w := int(uint32(id)) % p.shards.p
-	row := int(uint32(id)) / p.shards.p
-	if row >= len(p.shards.tabs[w]) {
-		return nil
-	}
-	return p.shards.tabs[w][row]
-}
-
 // Profile extracts the accumulated profile. The Profiler remains usable;
 // further events continue accumulating on top.
 //
 // Extraction hands the per-branch neighbor rows to graph.FromRows,
 // which sums the two halves of every pair (w(a,b) = row_a[b] + row_b[a])
-// straight into the exactly sized CSR rows. The rows' contents are
-// identical for every shard count (DESIGN.md §15), so the extracted
-// profile is too.
+// straight into the exactly sized CSR rows. The rows' contents do not
+// depend on where staging batches break (DESIGN.md §15), so neither
+// does the extracted profile.
 //
 // Past MaxEvents consumed events the 32-bit counts may have wrapped
 // silently, and Profile panics rather than return them.
@@ -369,14 +314,9 @@ func (p *Profiler) Profile() *Profile {
 			p.benchmark, p.inputSet, p.branches, uint64(MaxEvents)))
 	}
 	done := p.metrics.StartMerge()
-	// Quiesce the engine: staged batches are applied (and, sharded, the
-	// workers stopped), after which the rows are complete and safe to
-	// read from this goroutine.
-	p.shards.drain()
-	rows := make([][]uint32, len(p.pcs))
-	for id := range rows {
-		rows[id] = p.nbrOf(int32(id))
-	}
+	// Apply the staged batch, after which the rows are complete, and
+	// free the staging arrays for the duration of extraction.
+	p.acc.release()
 	out := &Profile{
 		Benchmark:    p.benchmark,
 		InputSets:    []string{p.inputSet},
@@ -384,140 +324,8 @@ func (p *Profiler) Profile() *Profile {
 		PCs:          append([]uint64(nil), p.pcs...),
 		Exec:         append([]uint64(nil), p.exec...),
 		Taken:        append([]uint64(nil), p.taken...),
-		Pairs:        graph.FromRows(len(p.pcs), rows),
+		Pairs:        graph.FromRows(len(p.pcs), p.acc.rows),
 	}
 	done(out.Pairs.Len())
-	return out
-}
-
-// NaiveProfiler is the literal time-stamp formulation from the paper's
-// Figure 1: every branch keeps its last time stamp; on each dynamic
-// instance of branch A, every branch whose stamp exceeds A's previous
-// stamp is an interleaving partner. It is O(static branches) per event
-// and exists to cross-validate Profiler in tests.
-type NaiveProfiler struct {
-	benchmark string
-	inputSet  string
-
-	idOf    []int32
-	highIDs map[uint64]int32
-	pcs     []uint64
-	exec    []uint64
-	taken   []uint64
-
-	stamp []uint64 // last time stamp per id
-	seen  []bool   // id has executed at least once
-
-	pairs        map[uint64]uint64 // PairKey -> interleave count
-	instructions uint64
-}
-
-// NewNaiveProfiler returns the reference profiler.
-func NewNaiveProfiler(benchmark, inputSet string) *NaiveProfiler {
-	return &NaiveProfiler{
-		benchmark: benchmark,
-		inputSet:  inputSet,
-		pairs:     make(map[uint64]uint64),
-	}
-}
-
-// Branch consumes one dynamic branch event.
-func (p *NaiveProfiler) Branch(pc uint64, taken bool, icount uint64) {
-	var id int32
-	if w := pc >> 2; pc&3 == 0 && w < uint64(len(p.idOf)) && p.idOf[w] >= 0 {
-		id = p.idOf[w]
-	} else {
-		id = p.intern(pc)
-	}
-	p.exec[id]++
-	if taken {
-		p.taken[id]++
-	}
-	if icount >= p.instructions {
-		p.instructions = icount + 1
-	}
-
-	if p.seen[id] {
-		prev := p.stamp[id]
-		for other := range p.stamp {
-			o := int32(other)
-			if o == id || !p.seen[o] {
-				continue
-			}
-			if p.stamp[o] > prev {
-				p.pairs[PairKey(id, o)]++ //reprolint:allow hotpath reference profiler for tests, accumulates in a plain map by design
-			}
-		}
-	}
-	p.stamp[id] = icount
-	p.seen[id] = true
-}
-
-// intern mirrors Profiler.intern for the reference profiler: dense
-// direct-indexed translation with a map fallback, cold per static
-// branch.
-func (p *NaiveProfiler) intern(pc uint64) int32 {
-	newID := func() int32 {
-		id := int32(len(p.pcs))
-		p.pcs = append(p.pcs, pc)      //reprolint:allow hotpath first touch, once per static branch
-		p.exec = append(p.exec, 0)     //reprolint:allow hotpath first touch, once per static branch
-		p.taken = append(p.taken, 0)   //reprolint:allow hotpath first touch, once per static branch
-		p.stamp = append(p.stamp, 0)   //reprolint:allow hotpath first touch, once per static branch
-		p.seen = append(p.seen, false) //reprolint:allow hotpath first touch, once per static branch
-		return id
-	}
-	if w := pc >> 2; pc&3 == 0 && w < maxDenseWords {
-		if w >= uint64(len(p.idOf)) {
-			size := cap(p.idOf)
-			if size < 1<<10 {
-				size = 1 << 10
-			}
-			for size < int(w+1) {
-				size *= 2
-			}
-			if size > maxDenseWords {
-				size = maxDenseWords
-			}
-			grown := make([]int32, size) //reprolint:allow hotpath amortized geometric growth, O(log program) times per run
-			copy(grown, p.idOf)
-			for i := len(p.idOf); i < size; i++ {
-				grown[i] = -1
-			}
-			p.idOf = grown
-		}
-		if id := p.idOf[w]; id >= 0 {
-			return id
-		}
-		id := newID()
-		p.idOf[w] = id
-		return id
-	}
-	if id, ok := p.highIDs[pc]; ok { //reprolint:allow hotpath unaligned-pc fallback, off the VM's word-aligned address space
-		return id
-	}
-	if p.highIDs == nil {
-		p.highIDs = make(map[uint64]int32) //reprolint:allow hotpath unaligned-pc fallback, allocated at most once
-	}
-	id := newID()
-	p.highIDs[pc] = id //reprolint:allow hotpath unaligned-pc fallback, once per out-of-range static branch
-	return id
-}
-
-// Profile extracts the accumulated profile.
-func (p *NaiveProfiler) Profile() *Profile {
-	pairs := make([]graph.Pair, 0, len(p.pairs))
-	for k, w := range p.pairs {
-		a, b := UnpackPair(k)
-		pairs = append(pairs, graph.Pair{U: a, V: b, W: w})
-	}
-	out := &Profile{
-		Benchmark:    p.benchmark,
-		InputSets:    []string{p.inputSet},
-		Instructions: p.instructions,
-		PCs:          append([]uint64(nil), p.pcs...),
-		Exec:         append([]uint64(nil), p.exec...),
-		Taken:        append([]uint64(nil), p.taken...),
-		Pairs:        graph.FromPairs(len(p.pcs), pairs),
-	}
 	return out
 }

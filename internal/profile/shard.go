@@ -1,10 +1,6 @@
 package profile
 
-import (
-	"sync"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Dense-row pair accumulation. The profiler's recency scan produces,
 // per event, the executing branch id and a contiguous prefix of the
@@ -23,40 +19,40 @@ import (
 // length its increments need; a row shorter than that grows, at most
 // once per batch, to rowTarget's length. Rows never grow by doubling.
 //
-// Sharded mode (P > 1) partitions the rows by executing branch id:
-// worker w owns ids ≡ w (mod P) and applies the batches the producer
-// routes to it. No lock, channel, or map is touched per increment —
-// hand-off is per batch. Serial mode (P = 1) is the same engine with
-// the apply running synchronously in the producer.
+// The engine is one synchronous pipeline in the producer: emit stages,
+// a full batch is applied in place, and release applies the partial
+// batch before extraction. The recency scan that produces the events is
+// serial state, so accumulation is too (DESIGN.md §11).
 //
 // Determinism: a batch is applied grouped by destination but *stably* —
 // events of one branch keep their stream order — so each row receives
 // exactly the increment sequence it would receive from an unbatched
-// serial loop. Row contents are therefore identical for every shard
-// count P and every batch geometry (row lengths may differ, but cells
-// past a row's end are zero either way), and extraction reads only the
-// contents, making the extracted profile byte-identical by construction
-// (DESIGN.md §15).
+// loop. Row contents are therefore identical for every batch geometry
+// (row lengths may differ, but cells past a row's end are zero either
+// way), and extraction reads only the contents, making the extracted
+// profile independent of where batches break (DESIGN.md §15).
 
+// stagingPartners is the staging batch's limit in partner entries, and
+// stagingEvents its limit in event headers: a batch is applied when it
+// reaches either. A batch must be large enough that a hot branch recurs
+// many times per batch — that is the cache amortization — and the
+// limits, not the allocation, fix where batches break, so batch counts
+// are a deterministic function of the stream. The arrays grow by
+// doubling up to the limits instead of being allocated whole: at 6
+// bytes per entry a full batch is 6 MB, which a graph kernel's short
+// stream never fills, and allocating it whole for every profiler
+// raised graph-zoo's peak RSS by a quarter. Profile releases the batch
+// before extraction, whose own peak it would otherwise add to.
 const (
-	// stagingPartners is the total partner-staging budget (entries
-	// across all workers' circulating batches). Batches must be large
-	// enough that a hot branch recurs many times per batch — that is
-	// the cache amortization — but the budget, not the shard count,
-	// bounds staging memory: per-worker batches shrink as P grows.
 	stagingPartners = 1 << 20
-	// shardFreeDepth is how many spare batches cycle per worker beyond
-	// the one the producer fills. Two gives double buffering: the
-	// producer fills one while the worker drains another, and blocks
-	// (bounded memory) if the worker falls behind.
-	shardFreeDepth = 2
+	stagingEvents   = stagingPartners / 4
 )
 
-// shardBatch is one struct-of-arrays staging unit: event i executed
+// pairBatch is one struct-of-arrays staging unit: event i executed
 // branch ids[i] and its interleave partners are the next lens[i]
 // entries of partners. Every partner id is below known, the row length
 // the batch's increments need; a shorter row grows to growTo.
-type shardBatch struct {
+type pairBatch struct {
 	ids      []int32
 	lens     []int32
 	partners []int32
@@ -64,26 +60,31 @@ type shardBatch struct {
 	growTo   int
 }
 
-func newShardBatch(partnersCap int) *shardBatch {
-	eventsCap := partnersCap / 4
-	return &shardBatch{ //reprolint:allow hotpath per-interval batch provisioning, not per event
-		ids:      make([]int32, 0, eventsCap),   //reprolint:allow hotpath per-interval batch provisioning, not per event
-		lens:     make([]int32, 0, eventsCap),   //reprolint:allow hotpath per-interval batch provisioning, not per event
-		partners: make([]int32, 0, partnersCap), //reprolint:allow hotpath per-interval batch provisioning, not per event
+// grow doubles whichever arrays lack room for one more event of n
+// partners, never past the staging budget, so a stream shorter than the
+// budget never pays for the whole batch.
+func (b *pairBatch) grow(n int) {
+	if len(b.ids) == cap(b.ids) {
+		c := min(max(2*cap(b.ids), 1<<10), stagingEvents)
+		b.ids = append(make([]int32, 0, c), b.ids...)   //reprolint:allow hotpath geometric growth up to the staging budget, O(log) times per profiler
+		b.lens = append(make([]int32, 0, c), b.lens...) //reprolint:allow hotpath geometric growth up to the staging budget, O(log) times per profiler
+	}
+	if need := len(b.partners) + n; need > cap(b.partners) {
+		c := min(max(2*cap(b.partners), need, 1<<12), stagingPartners)
+		b.partners = append(make([]int32, 0, c), b.partners...) //reprolint:allow hotpath geometric growth up to the staging budget, O(log) times per profiler
 	}
 }
 
 // reset clears the batch for reuse, keeping its allocations.
-func (b *shardBatch) reset() {
+func (b *pairBatch) reset() {
 	b.ids = b.ids[:0]
 	b.lens = b.lens[:0]
 	b.partners = b.partners[:0]
 	b.known, b.growTo = 0, 0
 }
 
-// applyScratch is the per-worker workspace for grouped batch apply:
-// per-destination chain heads/tails and per-event links/offsets, reused
-// across batches.
+// applyScratch is the workspace for grouped batch apply: per-destination
+// chain heads/tails and per-event links/offsets, reused across batches.
 type applyScratch struct {
 	head    []int32 // per destination row; -1 when untouched
 	tail    []int32
@@ -92,14 +93,13 @@ type applyScratch struct {
 	touched []int32
 }
 
-// applyBatch applies one batch to a row partition, grouped stably by
-// destination (id/p): all increments for one branch run back-to-back
-// while its row is cache-hot, in stream order. Returns the (possibly
-// grown) partition.
-func applyBatch(b *shardBatch, tabs [][]uint32, sc *applyScratch, p int) [][]uint32 {
+// applyBatch applies one batch to the neighbor rows, grouped stably by
+// destination: all increments for one branch run back-to-back while its
+// row is cache-hot, in stream order. Returns the (possibly grown) rows.
+func applyBatch(b *pairBatch, rows [][]uint32, sc *applyScratch) [][]uint32 {
 	n := len(b.ids)
 	if n == 0 {
-		return tabs
+		return rows
 	}
 	if cap(sc.next) < n {
 		sc.next = make([]int32, n) //reprolint:allow hotpath scratch sized once per batch geometry, reused across batches
@@ -107,16 +107,14 @@ func applyBatch(b *shardBatch, tabs [][]uint32, sc *applyScratch, p int) [][]uin
 	}
 	next, offs := sc.next[:n], sc.offs[:n]
 
-	maxRow := 0
+	maxRow := int32(0)
 	for _, id := range b.ids {
-		if r := int(uint32(id)) / p; r > maxRow {
-			maxRow = r
-		}
+		maxRow = max(maxRow, id)
 	}
-	if maxRow >= len(tabs) {
-		tabs = growPartition(tabs, maxRow+1)
+	if int(maxRow) >= len(rows) {
+		rows = growRows(rows, int(maxRow)+1)
 	}
-	if len(sc.head) <= maxRow {
+	if len(sc.head) <= int(maxRow) {
 		sc.head = make([]int32, maxRow+64) //reprolint:allow hotpath scratch grows with the static branch count, O(log) times per run
 		sc.tail = make([]int32, maxRow+64) //reprolint:allow hotpath scratch grows with the static branch count, O(log) times per run
 		for i := range sc.head {
@@ -127,11 +125,10 @@ func applyBatch(b *shardBatch, tabs [][]uint32, sc *applyScratch, p int) [][]uin
 	// Pass 1: chain the batch's events per destination row, stably.
 	sc.touched = sc.touched[:0]
 	off := int32(0)
-	for i, id := range b.ids {
+	for i, r := range b.ids {
 		offs[i] = off
 		off += b.lens[i]
 		next[i] = -1
-		r := int32(uint32(id)) / int32(p)
 		if sc.head[r] < 0 {
 			sc.head[r] = int32(i)
 			sc.touched = append(sc.touched, r) //reprolint:allow hotpath bounded by distinct branches per batch, reused backing array
@@ -144,10 +141,10 @@ func applyBatch(b *shardBatch, tabs [][]uint32, sc *applyScratch, p int) [][]uin
 	// Pass 2: per destination, walk its chain and apply every increment
 	// while the row is hot.
 	for _, r := range sc.touched {
-		row := tabs[r]
+		row := rows[r]
 		if len(row) < b.known {
 			row = growRow(row, b.growTo)
-			tabs[r] = row
+			rows[r] = row
 		}
 		for i := sc.head[r]; i >= 0; i = next[i] {
 			for _, cur := range b.partners[offs[i] : offs[i]+b.lens[i]] {
@@ -156,7 +153,7 @@ func applyBatch(b *shardBatch, tabs [][]uint32, sc *applyScratch, p int) [][]uin
 		}
 		sc.head[r] = -1
 	}
-	return tabs
+	return rows
 }
 
 // rowTarget is the length a row grows to when it must hold known cells:
@@ -183,211 +180,83 @@ func growRow(row []uint32, n int) []uint32 {
 	return grown
 }
 
-// growPartition extends a row partition geometrically.
-func growPartition(tabs [][]uint32, n int) [][]uint32 {
-	size := cap(tabs)
-	if size < 64 {
-		size = 64
-	}
+// growRows extends the row table geometrically.
+func growRows(rows [][]uint32, n int) [][]uint32 {
+	size := max(cap(rows), 64)
 	for size < n {
 		size *= 2
 	}
 	grown := make([][]uint32, n, size) //reprolint:allow hotpath amortized geometric growth, O(log static-branches) times per run
-	copy(grown, tabs)
+	copy(grown, rows)
 	return grown
 }
 
-// pairShards is the accumulation engine for both modes. With p == 1
-// everything runs in the producer. With p > 1, workers run only while
-// events are flowing: drain stops them and establishes a happens-before
-// edge, after which the partitioned rows are safe to read from the
-// caller's goroutine; the next emit restarts them.
-type pairShards struct {
-	p        int
-	batchCap int // partner entries per batch
-	reserve  int // expected static branch count (Profiler.Reserve); producer-owned
+// pairAccum is the accumulation engine: the neighbor rows and the one
+// staging batch that feeds them. The zero value is ready to use.
+type pairAccum struct {
+	reserve int // expected static branch count (Profiler.Reserve)
 
-	// tabs[w][id/p] is branch id's neighbor row, owned by worker
-	// w = id%p. Only worker w writes its partition while running; the
-	// producer reads all partitions after drain.
-	tabs    [][][]uint32
-	scratch []*applyScratch
+	// rows[id] is branch id's neighbor row; nil or short rows read as
+	// zero past their end.
+	rows    [][]uint32
+	batch   pairBatch
+	scratch applyScratch
 
-	cur     []*shardBatch      // batch being filled per worker, producer-owned
-	chs     []chan *shardBatch // full batches to workers
-	free    []chan *shardBatch // drained batches back to the producer
-	wg      sync.WaitGroup
-	running bool
-
-	// Optional observability (nil-safe): batches counts handed-off
-	// batches; queueMax tracks the high-water worker-channel depth, the
-	// back-pressure signal for tuning the staging budget.
-	batches  *obs.Counter
-	queueMax *obs.Gauge
+	// batches counts applied batches (optional, nil-safe).
+	batches *obs.Counter
 }
 
-func newPairShards(n int) *pairShards {
-	batchCap := stagingPartners
-	if n > 1 {
-		// Fixed total staging budget: per-worker batches shrink as P
-		// grows, and so do per-worker partitions — the amortization
-		// ratio (increments per cached row) is P-independent.
-		batchCap = stagingPartners / (n * (shardFreeDepth + 1))
-		if batchCap < 1<<12 {
-			batchCap = 1 << 12
-		}
-	}
-	s := &pairShards{
-		p:        n,
-		batchCap: batchCap,
-		tabs:     make([][][]uint32, n),
-		scratch:  make([]*applyScratch, n),
-		cur:      make([]*shardBatch, n),
-		chs:      make([]chan *shardBatch, n),
-		free:     make([]chan *shardBatch, n),
-	}
-	for w := range s.scratch {
-		s.scratch[w] = &applyScratch{}
-	}
-	return s
-}
-
-// start launches the workers and provisions the batch cycle. Runs once
-// per accumulation interval (on the first flush, again after a drain),
-// never per event.
-func (s *pairShards) start() {
-	for w := 0; w < s.p; w++ {
-		s.chs[w] = make(chan *shardBatch, shardFreeDepth)    //reprolint:allow hotpath per-interval worker startup, not per event
-		s.free[w] = make(chan *shardBatch, shardFreeDepth+1) //reprolint:allow hotpath per-interval worker startup, not per event
-		for i := 0; i < shardFreeDepth; i++ {
-			s.free[w] <- newShardBatch(s.batchCap) //reprolint:allow hotpath per-interval worker startup, not per event
-		}
-	}
-	s.wg.Add(s.p)
-	for w := 0; w < s.p; w++ {
-		go s.worker(w) //reprolint:allow hotpath per-interval worker startup, not per event
-	}
-	s.running = true
-}
-
-// worker applies batches to its own row partition. The partition
-// slice is grown worker-locally and published back to s.tabs[w] before
-// wg.Done, which happens-before the post-drain reads.
-func (s *pairShards) worker(w int) {
-	tabs := s.tabs[w]
-	sc := s.scratch[w]
-	for b := range s.chs[w] { //reprolint:allow hotpath batch hand-off, amortized over thousands of increments
-		tabs = applyBatch(b, tabs, sc, s.p)
-		b.reset()
-		s.free[w] <- b //reprolint:allow hotpath batch recycling, amortized over thousands of increments
-	}
-	s.tabs[w] = tabs
-	s.wg.Done()
-}
-
-// emit stages one event's partner prefix for the owning worker: a bulk
-// append (memmove) into the worker's current batch, flushing when full.
-// Oversized prefixes are chunked across batches; counts are preserved
-// because apply walks increments per header. known is the number of
-// ids discovered so far, which bounds every partner id.
-func (s *pairShards) emit(id int32, partners []int32, known int) {
-	w := int(uint32(id)) % s.p
+// emit stages one event's partner prefix: a bulk append (memmove) into
+// the batch, applying it when full. Oversized prefixes are chunked
+// across batches; counts are preserved because apply walks increments
+// per header. known is the number of ids discovered so far, which
+// bounds every partner id.
+func (s *pairAccum) emit(id int32, partners []int32, known int) {
+	b := &s.batch
 	for len(partners) > 0 {
-		b := s.cur[w]
-		if b == nil {
-			b = newShardBatch(s.batchCap)
-			s.cur[w] = b
-		}
-		room := cap(b.partners) - len(b.partners)
-		if room == 0 || len(b.ids) == cap(b.ids) {
-			s.flush(w)
+		room := stagingPartners - len(b.partners)
+		if room == 0 || len(b.ids) == stagingEvents {
+			s.flush()
 			continue
 		}
-		n := len(partners)
-		if n > room {
-			n = room
+		n := min(len(partners), room)
+		if len(b.ids) == cap(b.ids) || len(b.partners)+n > cap(b.partners) {
+			b.grow(n)
 		}
-		b.ids = append(b.ids, id)                        //reprolint:allow hotpath append within fixed batch capacity; flush guarantees room
-		b.lens = append(b.lens, int32(n))                //reprolint:allow hotpath append within fixed batch capacity; flush guarantees room
-		b.partners = append(b.partners, partners[:n]...) //reprolint:allow hotpath append within fixed batch capacity; flush guarantees room
+		b.ids = append(b.ids, id)                        //reprolint:allow hotpath append within capacity; grow and flush guarantee room
+		b.lens = append(b.lens, int32(n))                //reprolint:allow hotpath append within capacity; grow and flush guarantee room
+		b.partners = append(b.partners, partners[:n]...) //reprolint:allow hotpath append within capacity; grow and flush guarantee room
 		b.known = known
 		partners = partners[n:]
 	}
 }
 
-// flush hands worker w's current batch over (serially: applies it in
-// place), taking a recycled batch and blocking — bounded memory — if
-// the worker is behind.
-func (s *pairShards) flush(w int) {
-	b := s.cur[w]
-	if b == nil || len(b.ids) == 0 {
+// flush applies the staged batch, after which the rows hold every
+// increment emitted so far.
+func (s *pairAccum) flush() {
+	b := &s.batch
+	if len(b.ids) == 0 {
 		return
 	}
 	b.growTo = rowTarget(b.known, s.reserve)
-	if s.p == 1 {
-		s.tabs[0] = applyBatch(b, s.tabs[0], s.scratch[0], 1)
-		b.reset()
-		s.batches.Inc()
-		return
-	}
-	if !s.running {
-		s.start()
-	}
-	s.queueMax.SetMax(int64(len(s.chs[w]) + 1))
-	s.chs[w] <- b //reprolint:allow hotpath batch hand-off, amortized over thousands of increments
+	s.rows = applyBatch(b, s.rows, &s.scratch)
+	b.reset()
 	s.batches.Inc()
-	s.cur[w] = <-s.free[w] //reprolint:allow hotpath batch recycling, amortized over thousands of increments
 }
 
-// drain flushes every staged batch and stops the workers. On return the
-// partitioned rows hold every increment issued so far and may be
-// read from the calling goroutine; accumulation can resume afterwards
-// (the next flush restarts the workers).
-//
-//reprolint:hotpath shard pipeline drain barrier
-func (s *pairShards) drain() {
-	for w := 0; w < s.p; w++ {
-		s.flush(w)
-	}
-	if !s.running {
-		return
-	}
-	for w := 0; w < s.p; w++ {
-		s.cur[w] = nil
-		close(s.chs[w])
-	}
-	s.wg.Wait()
-	for w := 0; w < s.p; w++ {
-		s.chs[w], s.free[w] = nil, nil
-	}
-	s.running = false
+// release applies the staged batch and drops the staging and scratch
+// arrays, so extraction runs without them; the next emit regrows them.
+func (s *pairAccum) release() {
+	s.flush()
+	s.batch = pairBatch{}
+	s.scratch = applyScratch{}
 }
 
-// tableBytes reports the partitioned rows' footprint — the
-// accumulator memory common to both modes.
-func (s *pairShards) tableBytes() uint64 {
+// tableBytes reports the neighbor rows' footprint.
+func (s *pairAccum) tableBytes() uint64 {
 	var total uint64
-	for w := range s.tabs {
-		for _, row := range s.tabs[w] {
-			total += uint64(cap(row)) * 4
-		}
-	}
-	return total
-}
-
-// overheadBytes reports the memory sharding adds over serial
-// accumulation: the extra circulating staging batches plus partition
-// and scratch bookkeeping. The rows themselves are common to both
-// modes and excluded (see tableBytes); serial mode's single staging
-// batch is the baseline.
-func (s *pairShards) overheadBytes() uint64 {
-	perBatch := uint64(s.batchCap)*4 + 2*uint64(s.batchCap/4)*4
-	total := uint64(s.p) * uint64(shardFreeDepth+1) * perBatch
-	if s.p == 1 {
-		total = 0
-	}
-	for w := range s.tabs {
-		total += uint64(cap(s.tabs[w])) * 24
+	for _, row := range s.rows {
+		total += uint64(cap(row)) * 4
 	}
 	return total
 }
