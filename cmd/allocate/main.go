@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -126,6 +125,12 @@ func run(bench, inputs string, scale float64, size int, useClass, findSize bool,
 	if bench == "" {
 		return fmt.Errorf("need -bench")
 	}
+	if size < 1 {
+		return fmt.Errorf("-size must be at least 1 (got %d)", size)
+	}
+	if baseline < 1 {
+		return fmt.Errorf("-baseline must be at least 1 (got %d)", baseline)
+	}
 	spec, err := workload.ByName(bench)
 	if err != nil {
 		return err
@@ -216,21 +221,21 @@ func run(bench, inputs string, scale float64, size int, useClass, findSize bool,
 		}
 	}
 
-	if useClass {
-		cls := classify.Classify(prof, classify.Default())
+	// One prepared graph serves the classification report, the
+	// allocation or size search, its -check re-allocation and the
+	// baseline cost.
+	pr, err := core.Prepare(prof, core.AllocationConfig{Threshold: threshold, UseClassification: useClass})
+	if err != nil {
+		return err
+	}
+	if cls := pr.Classification; cls != nil {
 		m, bt, bnt := cls.Counts()
 		fmt.Printf("classification: %d mixed, %d biased-taken, %d biased-not-taken (%.1f%% of dynamic branches biased)\n",
 			m, bt, bnt, 100*cls.BiasedDynamicFraction(prof))
 	}
 
-	cfg := core.AllocationConfig{
-		TableSize:         size,
-		Threshold:         threshold,
-		UseClassification: useClass,
-	}
-
 	if findSize {
-		res, err := core.RequiredBHTSize(prof, baseline, cfg)
+		res, err := pr.RequiredSize(baseline)
 		if err != nil {
 			return err
 		}
@@ -238,9 +243,7 @@ func run(bench, inputs string, scale float64, size int, useClass, findSize bool,
 		fmt.Printf("required BHT size: %d (alloc cost %d, %d colorings)\n",
 			res.RequiredSize, res.AllocCost, res.Colorings)
 		if check {
-			c := cfg
-			c.TableSize = res.RequiredSize
-			a, err := core.Allocate(prof, c)
+			a, err := pr.Allocate(res.RequiredSize)
 			if err != nil {
 				return err
 			}
@@ -251,7 +254,7 @@ func run(bench, inputs string, scale float64, size int, useClass, findSize bool,
 		return dumpMetrics(reg)
 	}
 
-	alloc, err := core.Allocate(prof, cfg)
+	alloc, err := pr.Allocate(size)
 	if err != nil {
 		return err
 	}
@@ -260,7 +263,10 @@ func run(bench, inputs string, scale float64, size int, useClass, findSize bool,
 			return err
 		}
 	}
-	convCost := core.ConventionalCost(prof, baseline, threshold, alloc.Classification)
+	convCost, err := pr.ConventionalCost(baseline)
+	if err != nil {
+		return err
+	}
 	occupied, maxLoad := alloc.Map.LoadStats()
 	fmt.Printf("\nallocation into %d entries: conflict cost %d\n", size, alloc.ConflictCost)
 	fmt.Printf("conventional %d-entry cost:  %d\n", baseline, convCost)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"io"
 	"os"
@@ -8,14 +9,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// captureStdout runs fn with os.Stdout redirected into a pipe and
-// returns everything it printed.
-func captureStdout(t *testing.T, fn func() error) string {
+// captureRun runs fn with os.Stdout redirected into a pipe and returns
+// everything it printed, with fn's error.
+func captureRun(t *testing.T, fn func() error) (string, error) {
 	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
@@ -33,9 +35,15 @@ func captureStdout(t *testing.T, fn func() error) string {
 	if cerr := w.Close(); cerr != nil {
 		t.Fatal(cerr)
 	}
-	out := <-done
-	if ferr != nil {
-		t.Fatalf("run failed: %v\noutput so far:\n%s", ferr, out)
+	return <-done, ferr
+}
+
+// captureStdout is captureRun for a run that must succeed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	out, err := captureRun(t, fn)
+	if err != nil {
+		t.Fatalf("run failed: %v\noutput so far:\n%s", err, out)
 	}
 	return out
 }
@@ -173,4 +181,55 @@ func TestGoldenAllocateStaticProgcheck(t *testing.T) {
 		return run("li", "ref", 0.05, 64, false, false, 1024, 100, 0, false, "", true, true, nil)
 	})
 	checkGolden(t, "li_alloc_static_progcheck.golden", out)
+}
+
+// TestGoldenAllocateFindSizeClassifyCheck covers the Table 4 search
+// from the CLI: -find-size -classify with the -check re-allocation at
+// the size found.
+func TestGoldenAllocateFindSizeClassifyCheck(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return run("li", "ref", 0.05, 64, true, true, 1024, 100, 0, true, "", false, false, nil)
+	})
+	checkGolden(t, "li_alloc_findsize_classify_check.golden", out)
+}
+
+// TestRejectsSizesBelowOne: -size and -baseline below 1 are rejected
+// before any work starts (nothing is printed), with or without
+// -find-size, instead of dividing by zero in the PC-modulo baseline.
+func TestRejectsSizesBelowOne(t *testing.T) {
+	for _, tc := range []struct {
+		size, baseline int
+		findSize       bool
+		want           string
+	}{
+		{64, 0, false, "-baseline must be at least 1 (got 0)"},
+		{64, 0, true, "-baseline must be at least 1 (got 0)"},
+		{64, -8, true, "-baseline must be at least 1 (got -8)"},
+		{0, 1024, false, "-size must be at least 1 (got 0)"},
+		{-1, 1024, true, "-size must be at least 1 (got -1)"},
+	} {
+		out, err := captureRun(t, func() error {
+			return run("li", "ref", 0.05, tc.size, false, tc.findSize, tc.baseline, 100, 0, false, "", false, false, nil)
+		})
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("-size %d -baseline %d -find-size=%v: error %v, want %q", tc.size, tc.baseline, tc.findSize, err, tc.want)
+		}
+		if out != "" {
+			t.Errorf("-size %d -baseline %d: printed %q before rejecting", tc.size, tc.baseline, out)
+		}
+	}
+}
+
+// TestFindSizeBaselineBelowClassifiedMinimum: with classification the
+// smallest usable table has 3 entries (two reserved plus one free), so
+// -find-size -classify -baseline 2 fails with a size error naming that
+// minimum.
+func TestFindSizeBaselineBelowClassifiedMinimum(t *testing.T) {
+	_, err := captureRun(t, func() error {
+		return run("li", "ref", 0.05, 64, true, true, 2, 100, 0, false, "", false, false, nil)
+	})
+	var se *core.SizeError
+	if !errors.As(err, &se) || *se != (core.SizeError{What: "baseline size", Size: 2, Min: 3}) {
+		t.Fatalf("error %v, want the baseline SizeError with minimum 3", err)
+	}
 }

@@ -132,54 +132,136 @@ type Allocation struct {
 	Classification *classify.Classification
 }
 
-// Allocate computes a branch allocation for p under cfg.
-func Allocate(p *profile.Profile, cfg AllocationConfig) (*Allocation, error) {
+// Prepared is a profile made ready for allocation under one
+// configuration: the pruned conflict graph, the classification, and
+// the biased-branch pins. All of it belongs to the profile, not to the
+// table size (Sections 5.1–5.2), so one Prepared serves every size an
+// allocation or a required-size search probes. It is immutable and
+// safe for concurrent use.
+type Prepared struct {
+	Profile *profile.Profile
+	// Config is the configuration it was prepared under; its TableSize
+	// is not read.
+	Config AllocationConfig
+	// Graph is the conflict graph pruned at Config.Threshold (or
+	// DefaultThreshold when that is 0), after any classification edge
+	// removal.
+	Graph *graph.Graph
+	// Classification is non-nil when classification is used.
+	Classification *classify.Classification
+
+	pinned                map[int32]int
+	firstFree             int
+	reservedT, reservedNT int
+}
+
+// Prepare builds p's pruned conflict graph and, with
+// cfg.UseClassification, its classification and pins.
+func Prepare(p *profile.Profile, cfg AllocationConfig) (*Prepared, error) {
 	if p == nil {
 		return nil, fmt.Errorf("core: nil profile")
 	}
-	minSize := 1
+	var cls *classify.Classification
 	if cfg.UseClassification {
-		minSize = 3
+		cls = classify.Classify(p, cfg.classThresholds())
 	}
-	if cfg.TableSize < minSize {
-		return nil, fmt.Errorf("core: table size %d below minimum %d", cfg.TableSize, minSize)
-	}
+	return prepare(p, cfg, cls), nil
+}
+
+// prepare builds a Prepared around an existing classification (nil for
+// none).
+func prepare(p *profile.Profile, cfg AllocationConfig, cls *classify.Classification) *Prepared {
 	threshold := cfg.Threshold
 	if threshold == 0 {
 		threshold = DefaultThreshold
 	}
-
-	cls := classificationFor(p, cfg.UseClassification, cfg.classThresholds())
-	g := conflictGraph(p, threshold, cls)
-
-	spec := graph.ColoringSpec{K: cfg.TableSize}
-	reservedT, reservedNT := -1, -1
-	if cls != nil {
-		spec.Pinned, spec.FirstFree, reservedT, reservedNT = biasedPins(cls)
+	pr := &Prepared{
+		Profile:        p,
+		Config:         cfg,
+		Graph:          conflictGraph(p, threshold, cls),
+		Classification: cls,
+		reservedT:      -1,
+		reservedNT:     -1,
 	}
+	if cls != nil {
+		pr.pinned, pr.firstFree, pr.reservedT, pr.reservedNT = biasedPins(cls)
+	}
+	return pr
+}
 
-	coloring, err := g.Color(spec)
+// SizeError reports a table size below the smallest one an allocation
+// can use: 1 entry, or 3 with classification (two reserved entries plus
+// at least one free).
+type SizeError struct {
+	// What names the size: "table size" or "baseline size".
+	What string
+	Size int
+	Min  int
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("core: %s %d below minimum %d", e.What, e.Size, e.Min)
+}
+
+// MinSize is the smallest table size an allocation can use.
+func (pr *Prepared) MinSize() int {
+	if pr.Classification != nil {
+		return 3
+	}
+	return 1
+}
+
+func (pr *Prepared) checkSize(what string, size int) error {
+	if size < pr.MinSize() {
+		return &SizeError{What: what, Size: size, Min: pr.MinSize()}
+	}
+	return nil
+}
+
+// Spec returns the coloring spec for a table of size entries: the
+// biased-branch pins and the first free entry when classified.
+func (pr *Prepared) Spec(size int) graph.ColoringSpec {
+	return graph.ColoringSpec{K: size, Pinned: pr.pinned, FirstFree: pr.firstFree}
+}
+
+// Allocate computes a branch allocation for p under cfg.
+func Allocate(p *profile.Profile, cfg AllocationConfig) (*Allocation, error) {
+	pr, err := Prepare(p, cfg)
 	if err != nil {
 		return nil, err
 	}
+	return pr.Allocate(cfg.TableSize)
+}
 
-	m := &AllocationMap{
-		TableSize:        cfg.TableSize,
-		Index:            make(map[uint64]int, p.NumBranches()),
-		ReservedTaken:    reservedT,
-		ReservedNotTaken: reservedNT,
+// Allocate computes the branch allocation into a table of size
+// entries; a size below MinSize is a *SizeError.
+func (pr *Prepared) Allocate(size int) (*Allocation, error) {
+	if err := pr.checkSize("table size", size); err != nil {
+		return nil, err
 	}
-	for id, pc := range p.PCs {
+	coloring, err := pr.Graph.Color(pr.Spec(size))
+	if err != nil {
+		return nil, err
+	}
+	m := &AllocationMap{
+		TableSize:        size,
+		Index:            make(map[uint64]int, pr.Profile.NumBranches()),
+		ReservedTaken:    pr.reservedT,
+		ReservedNotTaken: pr.reservedNT,
+	}
+	for id, pc := range pr.Profile.PCs {
 		m.Index[pc] = coloring.Colors[id]
 	}
 	m.seal()
 
+	cfg := pr.Config
+	cfg.TableSize = size
 	return &Allocation{
 		Map:            m,
 		Config:         cfg,
-		Graph:          g,
-		ConflictCost:   g.ConflictCost(coloring.Colors),
-		Classification: cls,
+		Graph:          pr.Graph,
+		ConflictCost:   pr.Graph.ConflictCost(coloring.Colors),
+		Classification: pr.Classification,
 	}, nil
 }
 
@@ -210,27 +292,30 @@ func biasedPins(cls *classify.Classification) (pinned map[int32]int, firstFree, 
 	return pinned, firstFree, reservedT, reservedNT
 }
 
-// conventionalCostOn scores the baseline PC-modulo mapping at tableSize
-// on an already-built (and classification-pruned) conflict graph.
-func conventionalCostOn(g *graph.Graph, p *profile.Profile, tableSize int) uint64 {
-	colors := make([]int, p.NumBranches())
-	for id, pc := range p.PCs {
-		colors[id] = ConventionalIndex(pc, tableSize)
-	}
-	return g.ConflictCost(colors)
-}
-
 // ConventionalCost returns the conflict cost of the baseline PC-modulo
 // mapping at tableSize on p's pruned conflict graph — the quantity
 // branch allocation must beat (Tables 3 and 4 compare against
 // tableSize 1024). When cls is non-nil, same-class biased conflicts are
 // ignored for consistency with the classified allocation it is compared
-// against.
+// against. A tableSize below the minimum (see Prepared.MinSize) scores
+// 0; Prepared.ConventionalCost reports it as an error instead.
 func ConventionalCost(p *profile.Profile, tableSize int, threshold uint64, cls *classify.Classification) uint64 {
-	if threshold == 0 {
-		threshold = DefaultThreshold
+	cost, _ := prepare(p, AllocationConfig{Threshold: threshold, UseClassification: cls != nil}, cls).ConventionalCost(tableSize)
+	return cost
+}
+
+// ConventionalCost returns the conflict cost of the baseline PC-modulo
+// mapping into a table of size entries on the prepared graph; a size
+// below MinSize is a *SizeError.
+func (pr *Prepared) ConventionalCost(size int) (uint64, error) {
+	if err := pr.checkSize("baseline size", size); err != nil {
+		return 0, err
 	}
-	return conventionalCostOn(conflictGraph(p, threshold, cls), p, tableSize)
+	colors := make([]int, pr.Profile.NumBranches())
+	for id, pc := range pr.Profile.PCs {
+		colors[id] = ConventionalIndex(pc, size)
+	}
+	return pr.Graph.ConflictCost(colors), nil
 }
 
 // SizeSearchResult reports a required-BHT-size search (one row of
@@ -253,47 +338,43 @@ type SizeSearchResult struct {
 // RequiredBHTSize finds the smallest BHT size at which branch allocation
 // reduces table conflicts below the conventional baselineSize-entry
 // PC-indexed BHT (Section 5.1, Table 3; with cfg.UseClassification,
-// Table 4).
-//
-// The search binary-searches [minSize, baselineSize] — allocation
-// conflict cost is non-increasing in table size for all graphs seen in
-// practice — then walks downward linearly to confirm minimality against
-// local non-monotonicity of the greedy coloring.
+// Table 4). See Prepared.RequiredSize.
 func RequiredBHTSize(p *profile.Profile, baselineSize int, cfg AllocationConfig) (SizeSearchResult, error) {
-	threshold := cfg.Threshold
-	if threshold == 0 {
-		threshold = DefaultThreshold
+	pr, err := Prepare(p, cfg)
+	if err != nil {
+		return SizeSearchResult{}, err
 	}
-	// Build the conflict graph and classification once: every probed
-	// size colors the same pruned graph.
-	var cls *classify.Classification
-	var pinned map[int32]int
-	firstFree := 0
-	if cfg.UseClassification {
-		cls = classify.Classify(p, cfg.classThresholds())
-		pinned, firstFree, _, _ = biasedPins(cls)
-	}
-	g := conflictGraph(p, threshold, cls)
-	baseline := conventionalCostOn(g, p, baselineSize)
+	return pr.RequiredSize(baselineSize)
+}
 
-	res := SizeSearchResult{BaselineCost: baseline, BaselineSize: baselineSize}
-
-	minSize := 1
-	if cfg.UseClassification {
-		minSize = 3
+// RequiredSize finds the smallest table size at which the allocation's
+// conflict cost is at or below the conventional baseline-entry mapping's;
+// a baseline below MinSize is a *SizeError.
+//
+// The search binary-searches [MinSize, baseline] — allocation conflict
+// cost is non-increasing in table size for all graphs seen in practice —
+// then walks downward linearly to confirm minimality against local
+// non-monotonicity of the greedy coloring. Every probe colors the same
+// prepared graph.
+func (pr *Prepared) RequiredSize(baseline int) (SizeSearchResult, error) {
+	baselineCost, err := pr.ConventionalCost(baseline)
+	if err != nil {
+		return SizeSearchResult{}, err
 	}
+	res := SizeSearchResult{BaselineCost: baselineCost, BaselineSize: baseline}
+
 	costAt := func(size int) (uint64, error) {
-		coloring, err := g.Color(graph.ColoringSpec{K: size, Pinned: pinned, FirstFree: firstFree})
+		coloring, err := pr.Graph.Color(pr.Spec(size))
 		if err != nil {
 			return 0, err
 		}
 		res.Colorings++
-		return g.ConflictCost(coloring.Colors), nil
+		return pr.Graph.ConflictCost(coloring.Colors), nil
 	}
 
 	// The baseline cost can be zero (tiny program); any size where the
 	// allocator is also conflict-free qualifies.
-	lo, hi := minSize, baselineSize
+	lo, hi := pr.MinSize(), baseline
 	best := -1
 	var bestCost uint64
 	for lo <= hi {
@@ -302,7 +383,7 @@ func RequiredBHTSize(p *profile.Profile, baselineSize int, cfg AllocationConfig)
 		if err != nil {
 			return res, err
 		}
-		if cost <= baseline {
+		if cost <= baselineCost {
 			best = mid
 			bestCost = cost
 			hi = mid - 1
@@ -311,26 +392,26 @@ func RequiredBHTSize(p *profile.Profile, baselineSize int, cfg AllocationConfig)
 		}
 	}
 	if best == -1 {
-		// Even baselineSize entries cannot beat the baseline — possible
+		// Even baseline entries cannot beat the baseline — possible
 		// only if the coloring is worse than PC hashing, which would be
-		// a real finding; report baselineSize with its cost.
-		cost, err := costAt(baselineSize)
+		// a real finding; report baseline with its cost.
+		cost, err := costAt(baseline)
 		if err != nil {
 			return res, err
 		}
-		res.RequiredSize = baselineSize
+		res.RequiredSize = baseline
 		res.AllocCost = cost
 		return res, nil
 	}
 	// Downward confirmation walk: greedy coloring is not strictly
 	// monotone, so sizes just below the binary-search answer may also
 	// qualify. Walk down while they do.
-	for s := best - 1; s >= minSize; s-- {
+	for s := best - 1; s >= pr.MinSize(); s-- {
 		cost, err := costAt(s)
 		if err != nil {
 			return res, err
 		}
-		if cost > baseline {
+		if cost > baselineCost {
 			break
 		}
 		best = s

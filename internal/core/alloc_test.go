@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"maps"
+	"sync"
 	"testing"
 
 	"repro/internal/classify"
@@ -283,4 +286,161 @@ func TestSortedPCsSorted(t *testing.T) {
 			t.Fatal("SortedPCs not ascending")
 		}
 	}
+}
+
+// TestPreparedSizeErrors: a table or baseline below the minimum size (1,
+// or 3 with classification) is a *SizeError from every entry point,
+// never a divide-by-zero in the PC-modulo baseline or a coloring error
+// about FirstFree.
+func TestPreparedSizeErrors(t *testing.T) {
+	p := buildProfile([][2]uint64{{1000, 1000}, {1000, 500}, {1000, 500}}, cliquePairs(500, 0, 1, 2))
+	for _, tc := range []struct {
+		classified bool
+		size       int
+		min        int
+	}{
+		{false, 0, 1},
+		{false, -3, 1},
+		{true, 2, 3},
+		{true, 0, 3},
+	} {
+		cfg := AllocationConfig{UseClassification: tc.classified}
+		pr, err := Prepare(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pr.MinSize() != tc.min {
+			t.Errorf("classified=%v: MinSize %d, want %d", tc.classified, pr.MinSize(), tc.min)
+		}
+		want := func(what string, err error) {
+			t.Helper()
+			var se *SizeError
+			if !errors.As(err, &se) || *se != (SizeError{What: what, Size: tc.size, Min: tc.min}) {
+				t.Errorf("classified=%v size %d: got %v, want a %s SizeError", tc.classified, tc.size, err, what)
+			}
+		}
+		_, err = pr.RequiredSize(tc.size)
+		want("baseline size", err)
+		_, err = pr.ConventionalCost(tc.size)
+		want("baseline size", err)
+		_, err = pr.Allocate(tc.size)
+		want("table size", err)
+		_, err = RequiredBHTSize(p, tc.size, cfg)
+		want("baseline size", err)
+		cfg.TableSize = tc.size
+		_, err = Allocate(p, cfg)
+		want("table size", err)
+	}
+	if c := ConventionalCost(p, 0, 0, nil); c != 0 {
+		t.Errorf("ConventionalCost at size 0 = %d, want 0", c)
+	}
+	if _, err := Prepare(nil, AllocationConfig{}); err == nil {
+		t.Error("Prepare accepted a nil profile")
+	}
+	if _, err := RequiredBHTSize(nil, 1024, AllocationConfig{}); err == nil {
+		t.Error("RequiredBHTSize accepted a nil profile")
+	}
+}
+
+// TestPreparedServesEverySize: one Prepared answers the allocation,
+// size search and baseline cost exactly as the per-call entry points
+// do, coloring its one graph at every size.
+func TestPreparedServesEverySize(t *testing.T) {
+	branches := make([][2]uint64, 12)
+	for i := range branches {
+		branches[i] = [2]uint64{1000, 500}
+		if i%3 == 0 {
+			branches[i] = [2]uint64{1000, 1000}
+		}
+	}
+	ids := make([]uint64, 12)
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	p := buildProfile(branches, cliquePairs(500, ids...))
+	for _, classified := range []bool{false, true} {
+		cfg := AllocationConfig{UseClassification: classified}
+		pr, err := Prepare(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pr.RequiredSize(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := RequiredBHTSize(p, 16, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("classified=%v: RequiredSize %+v, RequiredBHTSize %+v", classified, got, want)
+		}
+		conv, err := pr.ConventionalCost(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := ConventionalCost(p, 8, 0, pr.Classification); c != conv {
+			t.Errorf("classified=%v: ConventionalCost %d, Prepared %d", classified, c, conv)
+		}
+		for _, size := range []int{3, 5, 12} {
+			a, err := pr.Allocate(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.TableSize = size
+			b, err := Allocate(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Graph != pr.Graph {
+				t.Errorf("size %d: allocation colored a graph other than the prepared one", size)
+			}
+			if a.ConflictCost != b.ConflictCost || a.Config != b.Config || !maps.Equal(a.Map.Index, b.Map.Index) {
+				t.Errorf("classified=%v size %d: Prepared.Allocate differs from Allocate", classified, size)
+			}
+		}
+	}
+}
+
+// TestPreparedConcurrentUse: a Prepared is shared by every allocation
+// over one profile, so goroutines may allocate and search on it at
+// once; each must get exactly the serial answer.
+func TestPreparedConcurrentUse(t *testing.T) {
+	branches := make([][2]uint64, 16)
+	ids := make([]uint64, 16)
+	for i := range branches {
+		branches[i] = [2]uint64{1000, 500}
+		if i%4 == 0 {
+			branches[i] = [2]uint64{1000, 0}
+		}
+		ids[i] = uint64(i)
+	}
+	pr, err := Prepare(buildProfile(branches, cliquePairs(500, ids...)), AllocationConfig{UseClassification: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSize, err := pr.RequiredSize(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAlloc, err := pr.Allocate(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			size, err := pr.RequiredSize(32)
+			if err != nil || size != wantSize {
+				t.Errorf("concurrent RequiredSize = %+v, %v; want %+v", size, err, wantSize)
+			}
+			a, err := pr.Allocate(7)
+			if err != nil || !maps.Equal(a.Map.Index, wantAlloc.Map.Index) {
+				t.Errorf("concurrent Allocate differs from the serial one (err %v)", err)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/classify"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -189,7 +188,7 @@ func Analyze(p *profile.Profile, cfg AnalysisConfig) (*AnalysisResult, error) {
 	}
 	// Deterministic order: largest first, ties broken by full member
 	// comparison — a total order over distinct sets, so the ordering is
-	// independent of enumeration (and worker) order.
+	// independent of enumeration order.
 	sort.Slice(sets, func(i, j int) bool {
 		a, b := sets[i].Branches, sets[j].Branches
 		if len(a) != len(b) {
@@ -211,12 +210,4 @@ func Analyze(p *profile.Profile, cfg AnalysisConfig) (*AnalysisResult, error) {
 		Truncated:        truncated,
 		IsolatedBranches: isolated,
 	}, nil
-}
-
-// classificationFor returns the classification to use given cfg, or nil.
-func classificationFor(p *profile.Profile, useClassification bool, th classify.Thresholds) *classify.Classification {
-	if !useClassification {
-		return nil
-	}
-	return classify.Classify(p, th)
 }

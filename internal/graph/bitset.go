@@ -2,9 +2,10 @@ package graph
 
 import "math/bits"
 
-// bitset is a fixed-capacity bit vector used by the clique enumerator.
-// Dense bit operations make Bron-Kerbosch set intersections word-wide
-// instead of per-element map lookups.
+// bitset is a fixed-capacity bit vector used by the clique enumerator
+// and the coloring select phase. Dense bit operations make
+// Bron-Kerbosch set intersections and the free-color search word-wide
+// instead of per-element.
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
@@ -69,6 +70,31 @@ func (b bitset) forEach(f func(i int32) bool) {
 				return
 			}
 			w &= w - 1
+		}
+	}
+}
+
+// firstAndNotFrom returns the first index set in b and clear in mask,
+// searching cyclically from p: first [p, 64·len(b)), then [0, p). It
+// returns -1 when every bit of b is also set in mask.
+func (b bitset) firstAndNotFrom(mask bitset, p int) int {
+	n := len(b)
+	wi := p >> 6
+	below := uint64(1)<<(uint(p)&63) - 1 // bits of p's word below p
+	w := (b[wi] &^ mask[wi]) &^ below
+	for j := 1; ; j++ {
+		if w != 0 {
+			return wi<<6 + bits.TrailingZeros64(w)
+		}
+		if j > n {
+			return -1
+		}
+		if wi++; wi == n {
+			wi = 0
+		}
+		w = b[wi] &^ mask[wi]
+		if j == n {
+			w &= below // back at p's word
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package graph
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Coloring assigns each node one of K colors. In branch allocation a
 // color is a BHT entry index (paper Section 5.1): the goal is not a
@@ -36,12 +40,23 @@ type ColoringSpec struct {
 //     unpinned neighbors (such a node can always be colored
 //     conflict-free later). Removal order: lowest current degree first.
 //  2. When no node has degree < K, remove the node with the smallest
-//     total incident conflict weight (the "optimistic spill" candidate —
-//     in branch allocation it is not spilled, it just risks sharing).
+//     total incident conflict weight, ties to the lowest id (the
+//     "optimistic spill" candidate — in branch allocation it is not
+//     spilled, it just risks sharing).
 //  3. Select: reinsert nodes in reverse order; give each the
-//     lowest-numbered color unused by its neighbors, or if none is
-//     free, the color minimizing summed interleave weight to
+//     least-loaded color in [FirstFree, K) unused by its neighbors,
+//     ties going to the first such color in cyclic order from just
+//     past the previous node's color; or, if every color there is used
+//     by a neighbor, the color minimizing summed interleave weight to
 //     same-colored neighbors.
+//
+// Cost, for n nodes and m edges: simplify is O(n log n + m) — a
+// degree-bucket queue read from a cursor, plus one (weight, id) sort of
+// the unpinned nodes the first time no node has degree < K. Select is
+// O(m) for the neighbor marks, plus a word-level scan of K/64 words per
+// load level visited; a node visits at most degree+1 non-empty levels,
+// and only a node with at least K-FirstFree neighbors can reach the
+// O(K) all-colors-used fallback.
 //
 // The returned Coloring assigns every node a color.
 func (g *Graph) Color(spec ColoringSpec) (Coloring, error) {
@@ -99,42 +114,54 @@ func (g *Graph) Color(spec ColoringSpec) (Coloring, error) {
 		}
 	}
 
-	// Simplify with a degree-bucket queue: O(nodes + edges) overall,
-	// which matters because the required-size search colors gcc-scale
-	// graphs dozens of times.
+	// Simplify with a degree-bucket queue. Every remaining node has
+	// degree >= lo, so buckets below lo hold only stale entries and the
+	// scan starts there; lo rises with the scan and falls by one per
+	// degree decrement, which bounds the bucket work at O(n + m).
 	buckets := make([][]int32, maxDeg+1)
 	for u := 0; u < n; u++ {
 		if !removed[u] {
 			buckets[deg[u]] = append(buckets[deg[u]], int32(u))
 		}
 	}
+	lo := 0
+	// byWeight is the high-pressure eviction order, (weight, id)
+	// ascending; weights never change, so it is sorted once, on first
+	// use, and read from a cursor past removed nodes.
+	var byWeight []int32
+	next := 0
 	pop := func() int32 {
 		// Lowest-degree node below K first (guaranteed conflict-free);
 		// stale bucket entries (degree since decreased or node already
 		// removed) are skipped lazily.
-		for d := 0; d < spec.K && d <= maxDeg; d++ {
+		for d := lo; d < spec.K && d <= maxDeg; d++ {
 			for len(buckets[d]) > 0 {
 				u := buckets[d][len(buckets[d])-1]
 				buckets[d] = buckets[d][:len(buckets[d])-1]
 				if !removed[u] && deg[u] == d {
+					lo = d
 					return u
 				}
 			}
 		}
+		lo = min(spec.K, maxDeg+1)
 		// High-pressure case: evict the node with the smallest total
 		// conflict weight (cheapest to share an entry).
-		pick := int32(-1)
-		var bestW uint64
-		for u := 0; u < n; u++ {
-			if removed[u] {
-				continue
+		if byWeight == nil {
+			byWeight = make([]int32, 0, active)
+			for u := 0; u < n; u++ {
+				if !pinned[u] {
+					byWeight = append(byWeight, int32(u))
+				}
 			}
-			if pick == -1 || weight[u] < bestW {
-				pick = int32(u)
-				bestW = weight[u]
-			}
+			slices.SortFunc(byWeight, func(a, b int32) int {
+				return cmp.Or(cmp.Compare(weight[a], weight[b]), cmp.Compare(a, b))
+			})
 		}
-		return pick
+		for removed[byWeight[next]] {
+			next++
+		}
+		return byWeight[next]
 	}
 	for ; active > 0; active-- {
 		u := pop()
@@ -145,6 +172,7 @@ func (g *Graph) Color(spec ColoringSpec) (Coloring, error) {
 			if !removed[v] {
 				deg[v]--
 				buckets[deg[v]] = append(buckets[deg[v]], v)
+				lo = min(lo, deg[v])
 			}
 		}
 	}
@@ -161,61 +189,98 @@ func (g *Graph) Color(spec ColoringSpec) (Coloring, error) {
 	// (sub-threshold) aliasing of a packed table from re-creating the
 	// interference the allocation exists to remove. Entry load uses a
 	// deterministic round-robin tie-break.
-	used := make([]bool, spec.K)
-	conflictW := make([]uint64, spec.K)
-	load := make([]int, spec.K)
+	//
+	// Only colors in [FirstFree, K) can be chosen, so the select state
+	// indexes them by offset from FirstFree. Level l of levels holds
+	// the colors whose load is l; minLevel is the lowest non-empty one.
+	// Loads only grow, so the least-loaded free color is the first free
+	// bit of the lowest level that has one.
+	ff, r := spec.FirstFree, spec.K-spec.FirstFree
+	words := (r + 63) / 64
+	load := make([]int, r)
 	for _, c := range spec.Pinned {
-		load[c]++
+		if c >= ff {
+			load[c-ff]++
+		}
 	}
-	nextProbe := spec.FirstFree
+	var levelBits []uint64
+	var levelN []int
+	level := func(l int) bitset { return bitset(levelBits[l*words : (l+1)*words]) }
+	enter := func(c, l int) {
+		for len(levelN) <= l {
+			levelBits = append(levelBits, make([]uint64, words)...)
+			levelN = append(levelN, 0)
+		}
+		level(l).set(int32(c))
+		levelN[l]++
+	}
+	for c := 0; c < r; c++ {
+		enter(c, load[c])
+	}
+	minLevel := 0
+	for levelN[minLevel] == 0 {
+		minLevel++
+	}
+	// used marks the neighbors' colors; touched lists them, so only
+	// those marks and conflict weights are reset after each node.
+	used := newBitset(r)
+	conflictW := make([]uint64, r)
+	var touched []int32
+	probe := 0 // offset of the cyclic scan's start from FirstFree
 	for i := len(inStack) - 1; i >= 0; i-- {
 		u := inStack[i]
-		for c := range used {
-			used[c] = false
-			conflictW[c] = 0
-		}
 		nbrs, wts := g.Neighbors(u)
-		for i, v := range nbrs {
-			if c := colors[v]; c >= 0 {
-				used[c] = true
-				conflictW[c] += wts[i]
+		for j, v := range nbrs {
+			c := colors[v] - ff
+			if c < 0 {
+				continue // uncolored, or pinned below FirstFree
 			}
+			if !used.has(int32(c)) {
+				used.set(int32(c))
+				touched = append(touched, int32(c))
+			}
+			conflictW[c] += wts[j]
 		}
 		chosen := -1
-		// Start the scan at a rotating probe point so equal-load
-		// choices distribute around the table instead of clustering at
-		// FirstFree.
-		bestLoad := -1
-		for off := 0; off < spec.K-spec.FirstFree; off++ {
-			c := spec.FirstFree + (nextProbe-spec.FirstFree+off)%(spec.K-spec.FirstFree)
-			if used[c] {
-				continue
-			}
-			if bestLoad == -1 || load[c] < bestLoad {
-				chosen = c
-				bestLoad = load[c]
-				if bestLoad == 0 {
-					break
+		if len(touched) < r {
+			// Some color is free; scanning levels from the cyclic probe
+			// point keeps equal-load choices distributed around the
+			// table instead of clustering at FirstFree.
+			for l := minLevel; chosen < 0; l++ {
+				if levelN[l] > 0 {
+					chosen = level(l).firstAndNotFrom(used, probe)
 				}
 			}
-		}
-		if chosen == -1 {
+		} else {
 			// Every allowed color conflicts; take the cheapest (the
 			// paper's "branches with the fewest conflicts ... map to
 			// the same location").
 			var bestW uint64
-			for c := spec.FirstFree; c < spec.K; c++ {
+			for c := 0; c < r; c++ {
 				if chosen == -1 || conflictW[c] < bestW {
 					chosen = c
 					bestW = conflictW[c]
 				}
 			}
 		}
-		colors[u] = chosen
+		for _, c := range touched {
+			used.clear(c)
+			conflictW[c] = 0
+		}
+		touched = touched[:0]
+
+		colors[u] = ff + chosen
+		l := load[chosen]
+		level(l).clear(int32(chosen))
+		levelN[l]--
 		load[chosen]++
-		nextProbe = chosen + 1
-		if nextProbe >= spec.K {
-			nextProbe = spec.FirstFree
+		enter(chosen, l+1)
+		for levelN[minLevel] == 0 {
+			minLevel++
+		}
+		probe = chosen + 1
+		if probe == r {
+			probe = 0
 		}
 	}
 

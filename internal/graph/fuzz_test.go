@@ -154,17 +154,29 @@ func FuzzMaximalCliques(f *testing.F) {
 	})
 }
 
-// FuzzColoring checks the coloring contract on arbitrary graphs: every
-// node is colored inside [0, K), and when K exceeds the maximum degree
-// the coloring is conflict-free.
+// FuzzColoring checks Color against its oracle and its contract on
+// arbitrary graphs: K ranges over 1..200 (across the 64- and 128-color
+// word boundaries), FirstFree over [0, K), and pins (node, color byte
+// pairs) land on both sides of FirstFree. Color must agree with
+// oracleColor node for node, color every node inside [0, K), keep every
+// pin, keep unpinned nodes at or above FirstFree, and — when the free
+// range is wider than the maximum degree — give no unpinned node a
+// neighbor's color.
 func FuzzColoring(f *testing.F) {
-	f.Add(uint8(3), []byte{6, 0, 1, 50, 0, 0, 1, 2, 99, 0, 0})
-	f.Add(uint8(1), []byte{9, 4, 5, 1, 1, 1, 5, 6, 1, 0, 0})
-	f.Fuzz(func(t *testing.T, kRaw uint8, data []byte) {
+	f.Add(uint8(3), uint8(0), []byte{}, []byte{6, 0, 1, 50, 0, 0, 1, 2, 99, 0, 0})
+	f.Add(uint8(1), uint8(0), []byte{}, []byte{9, 4, 5, 1, 1, 1, 5, 6, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, kRaw, ffRaw uint8, pins, data []byte) {
 		n, pairs := decodePairs(data)
 		g := FromPairs(n, pairs)
-		k := 1 + int(kRaw)%32
-		col, err := g.Color(ColoringSpec{K: k})
+		k := 1 + int(kRaw)%200
+		spec := ColoringSpec{K: k, FirstFree: int(ffRaw) % k}
+		for ; len(pins) >= 2; pins = pins[2:] {
+			if spec.Pinned == nil {
+				spec.Pinned = map[int32]int{}
+			}
+			spec.Pinned[int32(int(pins[0])%n)] = int(pins[1]) % k
+		}
+		col, err := checkOracle(t, "fuzz", g, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,16 +185,30 @@ func FuzzColoring(f *testing.F) {
 		}
 		maxDeg := 0
 		for u := int32(0); int(u) < n; u++ {
-			if col.Colors[u] < 0 {
+			c, isPinned := spec.Pinned[u]
+			switch {
+			case col.Colors[u] < 0:
 				t.Fatalf("node %d left uncolored", u)
+			case isPinned && col.Colors[u] != c:
+				t.Fatalf("pinned node %d colored %d, want %d", u, col.Colors[u], c)
+			case !isPinned && col.Colors[u] < spec.FirstFree:
+				t.Fatalf("node %d colored %d below FirstFree %d", u, col.Colors[u], spec.FirstFree)
 			}
-			if d := g.Degree(u); d > maxDeg {
-				maxDeg = d
-			}
+			maxDeg = max(maxDeg, g.Degree(u))
 		}
-		if k > maxDeg {
-			if cost := g.ConflictCost(col.Colors); cost != 0 {
-				t.Fatalf("conflict cost %d despite K=%d > max degree %d", cost, k, maxDeg)
+		if k-spec.FirstFree <= maxDeg {
+			return
+		}
+		for u := int32(0); int(u) < n; u++ {
+			if _, isPinned := spec.Pinned[u]; isPinned {
+				continue
+			}
+			nbrs, _ := g.Neighbors(u)
+			for _, v := range nbrs {
+				if col.Colors[u] == col.Colors[v] {
+					t.Fatalf("K-FirstFree=%d > max degree %d, yet %d and %d share color %d",
+						k-spec.FirstFree, maxDeg, u, v, col.Colors[u])
+				}
 			}
 		}
 	})

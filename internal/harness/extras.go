@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/predict"
 	"repro/internal/vm"
@@ -55,11 +54,11 @@ func (s *Suite) Comparison() ([]ComparisonRow, error) {
 func (s *Suite) comparisonRow(a *Artifacts) (ComparisonRow, error) {
 	row := ComparisonRow{Benchmark: a.Spec.Name}
 
-	alloc, err := core.Allocate(a.Profile, core.AllocationConfig{
-		TableSize:         s.cfg.BaselineBHT,
-		Threshold:         s.cfg.Threshold,
-		UseClassification: true,
-	})
+	pr, err := s.prepare(a, true)
+	if err != nil {
+		return row, err
+	}
+	alloc, err := pr.Allocate(s.cfg.BaselineBHT)
 	if err != nil {
 		return row, err
 	}
@@ -150,11 +149,11 @@ func (s *Suite) PipelineCosts(model pipeline.Model) ([]PipelineRow, error) {
 		}
 		s.progressf("pipeline costs %s", name)
 
-		alloc, err := core.Allocate(a.Profile, core.AllocationConfig{
-			TableSize:         s.cfg.BaselineBHT,
-			Threshold:         s.cfg.Threshold,
-			UseClassification: true,
-		})
+		pr, err := s.prepare(a, true)
+		if err != nil {
+			return PipelineRow{}, err
+		}
+		alloc, err := pr.Allocate(s.cfg.BaselineBHT)
 		if err != nil {
 			return PipelineRow{}, err
 		}

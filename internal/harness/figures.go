@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/predict"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -94,13 +93,13 @@ func (s *Suite) figureRow(a *Artifacts, classified bool) (FigureRow, error) {
 	// from the same profile the analysis tables use; branches outside
 	// the analyzed set fall back to PC-modulo indexing inside the map,
 	// as unrecompiled (library) code would.
+	pr, err := s.prepare(a, classified)
+	if err != nil {
+		return row, fmt.Errorf("harness: preparing %s: %w", a.Spec.Name, err)
+	}
 	allocSims := make([]*predict.Sim, len(s.cfg.AllocBHTSizes))
 	for i, size := range s.cfg.AllocBHTSizes {
-		alloc, err := core.Allocate(a.Profile, core.AllocationConfig{
-			TableSize:         size,
-			Threshold:         s.cfg.Threshold,
-			UseClassification: classified,
-		})
+		alloc, err := pr.Allocate(size)
 		if err != nil {
 			return row, fmt.Errorf("harness: allocating %s at %d: %w", a.Spec.Name, size, err)
 		}

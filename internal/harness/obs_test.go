@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"io"
 	"testing"
 	"time"
 
@@ -234,4 +235,37 @@ func TestStagedArtifactCosts(t *testing.T) {
 			t.Error("Table 2 profiled no events")
 		}
 	})
+}
+
+// TestPrepareStageOncePerSetting: a RunAll prepares each profiled
+// stream used by Tables 3-4 and Figures 3-4 exactly twice — one pruned
+// graph without classification, one with — however many sizes the
+// searches probe and the figures allocate. Stage spans are labelled by
+// benchmark, so a benchmark profiled under several input sets (perl,
+// ss) carries two spans per input.
+func TestPrepareStageOncePerSetting(t *testing.T) {
+	reg := metricsRegistry()
+	s := NewSuite(Config{Scale: 0.02, Workers: 2, Metrics: obs.New(reg)})
+	if err := RunAll(s, io.Discard, false); err != nil {
+		t.Fatal(err)
+	}
+	streams := map[string]map[string]bool{}
+	use := func(name string, in workload.InputSet) {
+		if streams[name] == nil {
+			streams[name] = map[string]bool{}
+		}
+		streams[name][in.Name] = true
+	}
+	for _, sb := range SizedBenchmarkRows() {
+		use(sb.Name, sb.Input)
+	}
+	for _, name := range FigureBenchmarks {
+		use(name, workload.InputRef)
+	}
+	for _, name := range workload.Names() {
+		want := uint64(2 * len(streams[name]))
+		if got := stageCount(reg, name, "prepare"); got != want {
+			t.Errorf("%s: %d prepare spans, want %d (2 per input set %v)", name, got, want, streams[name])
+		}
+	}
 }

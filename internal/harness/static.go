@@ -132,15 +132,22 @@ func (s *Suite) staticRow(a *Artifacts) (StaticRow, error) {
 		}
 		return predict.NewSim(pr), nil
 	}
+	profiled, err := s.prepare(a, false)
+	if err != nil {
+		return row, fmt.Errorf("harness: preparing %s: %w", a.Spec.Name, err)
+	}
+	estimated, err := core.Prepare(est.Profile, core.AllocationConfig{Threshold: s.cfg.Threshold})
+	if err != nil {
+		return row, fmt.Errorf("harness: preparing static estimate of %s: %w", a.Spec.Name, err)
+	}
 	profSims := make([]*predict.Sim, len(s.cfg.AllocBHTSizes))
 	staticSims := make([]*predict.Sim, len(s.cfg.AllocBHTSizes))
 	for i, size := range s.cfg.AllocBHTSizes {
-		cfg := core.AllocationConfig{TableSize: size, Threshold: s.cfg.Threshold}
-		palloc, err := core.Allocate(a.Profile, cfg)
+		palloc, err := profiled.Allocate(size)
 		if err != nil {
 			return row, fmt.Errorf("harness: profiled allocation of %s at %d: %w", a.Spec.Name, size, err)
 		}
-		salloc, err := core.Allocate(est.Profile, cfg)
+		salloc, err := estimated.Allocate(size)
 		if err != nil {
 			return row, fmt.Errorf("harness: static allocation of %s at %d: %w", a.Spec.Name, size, err)
 		}

@@ -1,11 +1,13 @@
 // Package harness defines and runs the paper's experiments: Tables 1-4
 // and Figures 3-4 (see DESIGN.md's per-experiment index). A Suite caches
-// the expensive per-benchmark artifacts in two stages — the count stage
-// (branch statistics and frequency filter) and the profile stage built
-// on it (the interleave profile) — so that every table and figure
-// derived from one benchmark shares a single run, as the paper's
-// methodology does, and a table that needs only counts builds no
-// profile.
+// the expensive per-benchmark artifacts in three stages — the count
+// stage (branch statistics and frequency filter), the profile stage
+// built on it (the interleave profile), and the prepare stage built on
+// that (the pruned conflict graph and classification that allocation
+// colors, once per classification setting) — so that every table and
+// figure derived from one benchmark shares a single run, as the
+// paper's methodology does, and a table that needs only counts builds
+// no profile.
 //
 // The suite is an embarrassingly parallel pipeline, like the
 // trace-driven simulators it reproduces: benchmarks are independent, so
@@ -150,11 +152,14 @@ type Artifacts struct {
 type Suite struct {
 	cfg Config
 
-	// counts and profiles cache the classic benchmarks' two artifact
-	// stages, keyed "benchmark/input"; graphs caches the graph
-	// benchmarks' artifacts by name.
+	// counts and profiles cache the classic benchmarks' first two
+	// artifact stages, keyed "benchmark/input"; prepared caches the
+	// prepare stage, keyed "benchmark/input/plain" or
+	// "benchmark/input/classified"; graphs caches the graph benchmarks'
+	// artifacts by name.
 	counts   flight[*Artifacts]
 	profiles flight[*Artifacts]
+	prepared flight[*core.Prepared]
 	graphs   flight[*GraphArtifacts]
 
 	progMu sync.Mutex
@@ -294,6 +299,25 @@ func (s *Suite) computeProfile(c *Artifacts) (*Artifacts, error) {
 	a := *c
 	a.Profile = prof.Profile()
 	return &a, nil
+}
+
+// prepare returns (or computes once) the prepare stage of a's profile:
+// its conflict graph pruned at the suite's threshold and, when
+// classified, its classification and pins. Every allocation and size
+// search over one profile and classification setting shares it.
+func (s *Suite) prepare(a *Artifacts, classified bool) (*core.Prepared, error) {
+	key := artifactsKey(a.Spec.Name, a.Input) + "/plain"
+	if classified {
+		key = artifactsKey(a.Spec.Name, a.Input) + "/classified"
+	}
+	return s.prepared.do(key, func() (*core.Prepared, error) {
+		span := s.stageSpan(a.Spec.Name, "prepare")
+		defer span.End()
+		return core.Prepare(a.Profile, core.AllocationConfig{
+			Threshold:         s.cfg.Threshold,
+			UseClassification: classified,
+		})
+	})
 }
 
 // profileWindow resolves the interleave scan window for one spec.

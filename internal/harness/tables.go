@@ -123,22 +123,19 @@ func (s *Suite) sizeTable(classified bool) ([]SizeRow, error) {
 		if err != nil {
 			return SizeRow{}, err
 		}
+		pr, err := s.prepare(a, classified)
+		if err != nil {
+			return SizeRow{}, fmt.Errorf("harness: preparing %s: %w", sb.Label, err)
+		}
 		s.progressf("required size %s (classification=%v)", sb.Label, classified)
 		span := s.stageSpan(sb.Name, "size")
-		res, err := core.RequiredBHTSize(a.Profile, s.cfg.BaselineBHT, core.AllocationConfig{
-			Threshold:         s.cfg.Threshold,
-			UseClassification: classified,
-		})
+		res, err := pr.RequiredSize(s.cfg.BaselineBHT)
 		span.End()
 		if err != nil {
 			return SizeRow{}, fmt.Errorf("harness: sizing %s: %w", sb.Label, err)
 		}
 		if s.cfg.Check {
-			alloc, err := core.Allocate(a.Profile, core.AllocationConfig{
-				TableSize:         res.RequiredSize,
-				Threshold:         s.cfg.Threshold,
-				UseClassification: classified,
-			})
+			alloc, err := pr.Allocate(res.RequiredSize)
 			if err != nil {
 				return SizeRow{}, fmt.Errorf("harness: verifying %s: %w", sb.Label, err)
 			}

@@ -117,12 +117,13 @@ func (s *Suite) zooRows(a *Artifacts, kinds []string) ([]ZooRow, error) {
 	// the allocation is a property of the branch working sets, not of
 	// the predictor consuming it. Plain allocation (no classification)
 	// matches Figure 3, the apples-to-apples comparison.
+	pr, err := s.prepare(a, false)
+	if err != nil {
+		return nil, fmt.Errorf("harness: preparing %s: %w", a.Spec.Name, err)
+	}
 	allocs := make([]*core.AllocationMap, len(sizes))
 	for i, size := range sizes {
-		alloc, err := core.Allocate(a.Profile, core.AllocationConfig{
-			TableSize: size,
-			Threshold: s.cfg.Threshold,
-		})
+		alloc, err := pr.Allocate(size)
 		if err != nil {
 			return nil, fmt.Errorf("harness: allocating %s at %d: %w", a.Spec.Name, size, err)
 		}
@@ -150,7 +151,7 @@ func (s *Suite) zooRows(a *Artifacts, kinds []string) ([]ZooRow, error) {
 	}
 
 	span := s.stageSpan(a.Spec.Name, "simulate")
-	err := s.replayFull(a, sinks)
+	err = s.replayFull(a, sinks)
 	span.End()
 	if err != nil {
 		return nil, err
